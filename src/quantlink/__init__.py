@@ -48,6 +48,7 @@ from .quantizers import (
     DistortionFactor,
     QuantizerSpec,
     TransitionMatrix,
+    build_transition_matrices,
     build_transition_matrix,
     gauss_cdf,
     high_resolution_distortion,
@@ -66,6 +67,7 @@ from .rates import (
     evaluate,
     rate_aqnm,
     rate_ci_exact,
+    rate_ci_exact_grid,
     rate_ci_fano,
     rate_ci_onebit,
     rate_ci_onebit_lb,
@@ -99,6 +101,7 @@ __all__ = [
     "adc_power",
     "alternating_projection",
     "binary_entropy",
+    "build_transition_matrices",
     "build_transition_matrix",
     "channel_inversion_precoder",
     "discrete_mi",
@@ -118,6 +121,7 @@ __all__ = [
     "qfunc",
     "rate_aqnm",
     "rate_ci_exact",
+    "rate_ci_exact_grid",
     "rate_ci_fano",
     "rate_ci_onebit",
     "rate_ci_onebit_lb",

@@ -126,6 +126,9 @@ def alternating_projection(
     ------
     DegenerateIterateError
         If a projected iterate becomes rank deficient.
+    RuntimeError
+        If the final projection distance exceeds the first one, which
+        alternating projection between closed sets rules out.
     """
     entries = _entries(h)
     n_rx, n_tx = entries.shape
@@ -162,9 +165,8 @@ def alternating_projection(
 
     # Alternating projections between closed sets cannot move farther from
     # the constraint set than the first iterate did.
-    assert max(res_w, res_f) <= first_residual * (1.0 + 1e-9) + 1e-15, (
-        "projection distance increased across iterations"
-    )
+    if not max(res_w, res_f) <= first_residual * (1.0 + 1e-9) + 1e-15:
+        raise RuntimeError("projection distance increased across iterations")
     return AnalogPrecoderPair(
         f_rf=f_tilde,
         w_rf=w_tilde,

@@ -18,13 +18,16 @@ import numpy as np
 
 from .analog import alternating_projection, effective_channel
 from .channel import ClusteredChannelConfig, generate_channel
-from .digital import svd_precoder
+from .digital import RankDeficientChannelError, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
 from .quantizers import lloyd_max
+# rate_ci_exact is not called here; it stays a module global because
+# perfbench's tracer wraps it by name.
 from .rates import (
     RATE_METHODS,
     rate_aqnm,
     rate_ci_exact,
+    rate_ci_exact_grid,
     rate_ci_fano,
     rate_ci_onebit,
     ub_infinite,
@@ -285,39 +288,58 @@ def _method_grid(config: ExperimentConfig, method: str):
 
 
 def _per_realization_values(config: ExperimentConfig, n_rf_rx: int, state: _ChannelState):
-    """Rates of every requested method at every grid cell for one realization."""
+    """Rates of every requested method at every grid cell for one realization.
+
+    The exact channel-inversion rate is evaluated once per bit depth over the
+    whole SNR grid.  If the effective channel cannot carry ``n_rf_rx`` SVD
+    streams, ``aqnm_svd`` and ``hybrid`` are NaN for this realization.
+    """
     n_streams = n_rf_rx
     need_ci = any(m in ("ci_exact", "ci_fano", "hybrid") for m in config.methods)
     need_svd = any(m in ("aqnm_svd", "hybrid") for m in config.methods)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
+    snr_subs = None
+    ci_table = {}
+    if need_ci and state.ci_feasible:
+        beta = float(np.sum(state.nu**-2.0))
+        snr_subs = [rho / beta for rho in rhos]
+        if "ci_exact" in config.methods or "hybrid" in config.methods:
+            ci_table = {
+                bits: rate_ci_exact_grid(bits, snr_subs, n_streams).tolist()
+                for bits in config.bits_grid
+            }
+    f_bbs = etas = None
+    if need_svd:
+        etas = {bits: lloyd_max(bits)[1] for bits in config.bits_grid}
+        try:
+            f_bbs = [svd_precoder(state.g, rho, n_streams) for rho in rhos]
+        except RankDeficientChannelError:
+            f_bbs = None  # the rank test does not depend on rho: no SVD rate at any SNR
     out = {}
-    for snr_db in config.snr_grid_db:
-        rho = 10.0 ** (snr_db / 10.0)
-        snr_sub = rho / float(np.sum(state.nu**-2.0)) if (need_ci and state.ci_feasible) else None
-        f_bb = svd_precoder(state.g, rho, n_streams) if need_svd else None
+    for s, snr_db in enumerate(config.snr_grid_db):
+        rho = rhos[s]
         for bits in config.bits_grid:
-            ci_val = (
-                rate_ci_exact(bits, snr_sub, n_streams).bits_per_channel_use
-                if snr_sub is not None
-                else math.nan
-            )
+            ci_val = ci_table[bits][s] if ci_table else math.nan
             svd_val = (
-                rate_aqnm(state.g, f_bb, rho, lloyd_max(bits)[1]).bits_per_channel_use
-                if need_svd
+                rate_aqnm(state.g, f_bbs[s], rho, etas[bits]).bits_per_channel_use
+                if f_bbs is not None
                 else math.nan
             )
             if "ci_exact" in config.methods:
                 out[("ci_exact", snr_db, bits)] = ci_val
             if "ci_fano" in config.methods:
                 out[("ci_fano", snr_db, bits)] = (
-                    rate_ci_fano(bits, snr_sub, n_streams).bits_per_channel_use
-                    if snr_sub is not None
+                    rate_ci_fano(bits, snr_subs[s], n_streams).bits_per_channel_use
+                    if snr_subs is not None
                     else math.nan
                 )
             if "aqnm_svd" in config.methods:
                 out[("aqnm_svd", snr_db, bits)] = svd_val
             if "hybrid" in config.methods:
-                pair = [v for v in (ci_val, svd_val) if not math.isnan(v)]
-                out[("hybrid", snr_db, bits)] = max(pair) if pair else math.nan
+                # NaN whenever the SVD rate is, so hybrid >= aqnm_svd survives averaging
+                out[("hybrid", snr_db, bits)] = (
+                    svd_val if math.isnan(ci_val) or math.isnan(svd_val) else max(ci_val, svd_val)
+                )
         if "ci_onebit" in config.methods:
             out[("ci_onebit", snr_db, 1)] = (
                 rate_ci_onebit(state.g, rho, n_streams).bits_per_channel_use

@@ -24,6 +24,7 @@ __all__ = [
     "matched_stepsize",
     "uniform_pam_quantizer",
     "build_transition_matrix",
+    "build_transition_matrices",
     "lloyd_max",
     "high_resolution_distortion",
     "pam_error_probability",
@@ -54,6 +55,15 @@ def _check_bits(bits: int) -> int:
     if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
     return int(bits)
+
+
+def _check_snr_grid(snr) -> np.ndarray:
+    snr = np.asarray(snr, dtype=float)
+    if snr.ndim != 1:
+        raise ValueError("snr must be a one-dimensional array")
+    if not np.all(snr > 0):
+        raise ValueError("snr must be positive")
+    return snr
 
 
 @dataclass(eq=False)
@@ -158,6 +168,9 @@ def build_transition_matrix(bits: int, snr: float) -> TransitionMatrix:
     region: differences of the normal CDF at the thresholds shifted by the
     symbol.  Rows for the upper half of the alphabet are the mirror images of
     the lower half, which encodes the sign symmetry exactly.
+
+    This row-by-row form is the public reference oracle; the sweep uses the
+    batched :func:`build_transition_matrices`, which must match it bit for bit.
     """
     spec = uniform_pam_quantizer(bits, snr)
     m = 2**bits
@@ -170,6 +183,35 @@ def build_transition_matrix(bits: int, snr: float) -> TransitionMatrix:
         entries[i] = row
         entries[m - 1 - i] = row[::-1]
     return TransitionMatrix(entries)
+
+
+def build_transition_matrices(bits: int, snr) -> np.ndarray:
+    """Stack of the (S, 2^b, 2^b) transition matrices for S sub-channel SNRs.
+
+    Performs the same element-wise floating-point operations as
+    :func:`build_transition_matrix`, so ``out[k]`` equals
+    ``build_transition_matrix(bits, snr[k]).entries`` bit for bit, and runs
+    the same checks as :class:`TransitionMatrix` over the whole stack.
+    """
+    bits = _check_bits(bits)
+    snr = _check_snr_grid(snr)
+    step = np.sqrt(12.0 * snr / (4.0**bits - 1.0))[:, None]
+    m = 2**bits
+    half = m // 2
+    levels = (np.arange(m) - (m - 1) / 2.0) * step
+    thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
+    edges = gauss_cdf(thresholds[:, None, :] - levels[:, :half, None])
+    pads = np.zeros(edges.shape[:2] + (1,))
+    rows = np.diff(np.concatenate((pads, edges, pads + 1.0), axis=2), axis=2)
+    np.maximum(rows, 0.0, out=rows)  # as in the row loop: clamp roundoff negatives
+    entries = np.empty((snr.size, m, m))
+    entries[:, :half] = rows
+    entries[:, half:] = rows[:, ::-1, ::-1]
+    if np.any(entries < 0) or np.any(entries > 1):
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    if entries.size and np.max(np.abs(entries.sum(axis=2) - 1.0)) > 1e-12:
+        raise ValueError("every row must sum to 1 within 1e-12")
+    return entries
 
 
 def _lloyd_map_half(levels: np.ndarray):

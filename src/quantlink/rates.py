@@ -19,10 +19,15 @@ import numpy as np
 
 from .analog import _entries, _spectrum
 from .digital import snr_ci, svd_precoder
+# build_transition_matrix is not called here; it stays a module global
+# because perfbench's tracer wraps it by name.
 from .quantizers import (
     DistortionFactor,
     TransitionMatrix,
+    _check_bits,
+    _check_snr_grid,
     build_transition_matrix,
+    build_transition_matrices,
     lloyd_max,
     pam_error_probability,
     qfunc,
@@ -37,6 +42,7 @@ __all__ = [
     "rate_ci_onebit",
     "rate_ci_onebit_lb",
     "rate_ci_exact",
+    "rate_ci_exact_grid",
     "rate_ci_fano",
     "rate_aqnm",
     "ub_onebit_tight",
@@ -56,6 +62,10 @@ RATE_METHODS = (
 )
 
 _LN2 = np.log(2.0)
+
+# Transition-matrix entries per batch of rate_ci_exact_grid: bounds its
+# working set to a few MB whatever the length of the SNR grid.
+_BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,8 @@ def discrete_mi(prior, transition) -> float:
 
     ``prior`` is the input distribution; ``transition`` a row-stochastic
     matrix (or :class:`TransitionMatrix`) of conditional output probabilities.
+    This is the public reference oracle: :func:`rate_ci_exact_grid` performs
+    the same operations over a batch of matrices and must match it bit for bit.
     """
     prior = np.asarray(prior, dtype=float)
     t = transition.entries if isinstance(transition, TransitionMatrix) else np.asarray(transition, dtype=float)
@@ -154,15 +166,43 @@ def rate_ci_exact(bits: int, snr_ci: float, n_streams: int) -> RateResult:
     """Exact channel-inversion rate with b-bit ADCs and 2^b-PAM per real dimension.
 
     2 Ns times the discrete mutual information of the matched uniform
-    quantizer's transition matrix under the uniform prior.
+    quantizer's transition matrix under the uniform prior; a one-point call
+    of :func:`rate_ci_exact_grid`.
     """
+    return RateResult(rate_ci_exact_grid(bits, [snr_ci], n_streams)[0], "ci_exact")
+
+
+def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
+    """Exact channel-inversion rate at every sub-channel SNR of a 1-D grid.
+
+    Element k equals ``2 Ns discrete_mi(uniform, build_transition_matrix(bits,
+    snr_ci[k]))`` bit for bit: the matrices are built in batches of at most
+    ``_BATCH_ENTRIES`` entries, the mutual-information terms are computed
+    element-wise, and each SNR's masked terms are reduced by the same pairwise
+    sum as :func:`discrete_mi`.  One bit uses the antipodal closed form.
+    """
+    bits = _check_bits(bits)
+    snr_ci = _check_snr_grid(snr_ci)
     if bits == 1:
         # same quantity; the closed form avoids needless matrix assembly
-        return RateResult(_onebit_rate_from_snr(snr_ci, n_streams), "ci_exact")
-    t = build_transition_matrix(bits, snr_ci)
+        return np.array([_onebit_rate_from_snr(float(s), n_streams) for s in snr_ci])
     m = 2**bits
-    mi = discrete_mi(np.full(m, 1.0 / m), t)
-    return RateResult(2.0 * n_streams * mi, "ci_exact")
+    prior = np.full(m, 1.0 / m)
+    mi = np.empty(snr_ci.size)
+    per_batch = max(1, _BATCH_ENTRIES // (m * m))
+    for start in range(0, snr_ci.size, per_batch):
+        t = build_transition_matrices(bits, snr_ci[start : start + per_batch])
+        marginal = np.matmul(prior, t)
+        joint = prior[:, None] * t
+        mask = joint > 0
+        log_marginal = np.log(marginal, where=marginal > 0, out=np.zeros_like(marginal))
+        # log(0) = -inf and 0 * -inf = nan occur only outside the mask
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = joint * (np.log(t) - log_marginal[:, None, :])
+        for k in range(t.shape[0]):
+            nats = float(np.sum(terms[k][mask[k]]))
+            mi[start + k] = max(nats / _LN2, 0.0)
+    return 2.0 * n_streams * mi
 
 
 def rate_ci_fano(bits: int, snr_ci: float, n_streams: int) -> RateResult:

@@ -126,3 +126,15 @@ class TestEffectiveChannel:
         h = make_channel(17)
         with pytest.raises(ValueError, match="shape"):
             effective_channel(h, np.ones((3, 2), dtype=complex) / np.sqrt(3), np.eye(64, 2))
+
+
+def test_growing_projection_distance_raises_without_assert(monkeypatch):
+    """The closing invariant is an explicit check, so it survives python -O."""
+    import itertools
+
+    import quantlink.analog as analog
+
+    calls = itertools.count(1)
+    monkeypatch.setattr(analog, "_nearest_semi_unitary", lambda a: a * (1.0 + 0.1 * next(calls)))
+    with pytest.raises(RuntimeError, match="projection distance increased"):
+        alternating_projection(make_channel(3), n_rf_tx=8, n_rf_rx=4, max_iter=5)

@@ -210,3 +210,34 @@ class TestMethodOrderingAcrossResolutions:
         by_key = {(r.method, r.bits): r.mean_rate_bpshz for r in run_experiment(cfg, threads=2)}
         assert by_key[("ci_exact", 1)] > by_key[("aqnm_svd", 1)]
         assert by_key[("aqnm_svd", 8)] > by_key[("ci_exact", 8)]
+
+
+class TestRankDeficientChannel:
+    def test_single_path_channel_does_not_abort_the_sweep(self):
+        """One path gives a rank-1 channel, so neither channel inversion nor
+        two SVD streams exist; the sweep reports NaN instead of raising."""
+        cfg = ExperimentConfig(
+            n_clusters=1,
+            n_rays=1,
+            n_rf_rx=(2,),
+            snr_grid_db=(0.0, 10.0),
+            bits_grid=(1, 4),
+            n_realizations=3,
+        )
+        records = run_experiment(cfg)
+        assert {r.method for r in records} == {"ci_exact", "aqnm_svd", "hybrid"}
+        assert all(math.isnan(r.mean_rate_bpshz) for r in records)
+
+    def test_svd_failure_makes_hybrid_nan_too(self, monkeypatch):
+        import quantlink.harness as harness
+        from quantlink import RankDeficientChannelError
+
+        def refuse(g, rho, n_streams):
+            raise RankDeficientChannelError("rank below the requested streams")
+
+        monkeypatch.setattr(harness, "svd_precoder", refuse)
+        by_method = {r.method: r.mean_rate_bpshz for r in run_experiment(tiny_config(
+            methods=("ci_exact", "aqnm_svd", "hybrid")))}
+        assert math.isfinite(by_method["ci_exact"])
+        assert math.isnan(by_method["aqnm_svd"])
+        assert math.isnan(by_method["hybrid"])
