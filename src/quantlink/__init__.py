@@ -13,6 +13,7 @@ from .analog import (
     DegenerateIterateError,
     EffectiveChannel,
     alternating_projection,
+    alternating_projections,
     effective_channel,
 )
 from .channel import (
@@ -27,6 +28,7 @@ from .digital import (
     DigitalPrecoder,
     RankDeficientChannelError,
     channel_inversion_precoder,
+    ci_feasible,
     snr_ci,
     svd_precoder,
     waterfill,
@@ -100,10 +102,12 @@ __all__ = [
     "TransitionMatrix",
     "adc_power",
     "alternating_projection",
+    "alternating_projections",
     "binary_entropy",
     "build_transition_matrices",
     "build_transition_matrix",
     "channel_inversion_precoder",
+    "ci_feasible",
     "discrete_mi",
     "effective_channel",
     "emit_csv",

@@ -5,8 +5,9 @@
     quantlink tables --quantizers
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
-The QUANTLINK_THREADS environment variable sets the default worker count;
-the --threads flag overrides it.
+The QUANTLINK_THREADS environment variable sets the default thread count;
+the --threads flag overrides it.  Both are validated but do not change how
+a sweep runs (see run_experiment).
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the experiment config file")
     run.add_argument("--out", help="output CSV path (overrides output_path in the config)")
     run.add_argument("--seed", type=int, help="master seed override")
-    run.add_argument("--threads", type=int, help="worker threads for channel generation")
+    run.add_argument(
+        "--threads",
+        type=int,
+        help="accepted for compatibility; the sweep always runs in one thread, "
+        "which measured faster than a thread pool",
+    )
 
     val = sub.add_parser("validate", help="check a config file and exit")
     val.add_argument("--config", required=True, help="path to the experiment config file")

@@ -12,6 +12,7 @@ __all__ = [
     "RankDeficientChannelError",
     "DigitalPrecoder",
     "channel_inversion_precoder",
+    "ci_feasible",
     "snr_ci",
     "waterfill",
     "svd_precoder",
@@ -53,8 +54,22 @@ class DigitalPrecoder:
         return self.f_bb.shape[1]
 
 
+def ci_feasible(nu: np.ndarray, n_streams: int) -> bool:
+    """Whether channel inversion can drive ``n_streams`` streams through a G
+    with nonincreasing singular values ``nu``.
+
+    It needs ``n_streams`` nonzero singular values and a Gram condition
+    number (nu_0 / nu_{n_streams-1})^2 below ``CONDITION_LIMIT``.
+    """
+    return bool(
+        n_streams <= len(nu)
+        and nu[n_streams - 1] > 0
+        and (nu[0] / nu[n_streams - 1]) ** 2 < CONDITION_LIMIT
+    )
+
+
 def _check_invertible(nu: np.ndarray, n_streams: int) -> None:
-    if nu[n_streams - 1] <= 0 or (nu[0] / nu[n_streams - 1]) ** 2 >= CONDITION_LIMIT:
+    if not ci_feasible(nu, n_streams):
         raise RankDeficientChannelError(
             "effective channel Gram matrix is numerically singular; "
             f"reduce the stream count below {n_streams} (condition limit {CONDITION_LIMIT:g})"

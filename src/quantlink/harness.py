@@ -11,14 +11,15 @@ parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analog import alternating_projection, effective_channel
+# alternating_projection runs only through _realize; it stays a module global
+# because perfbench's tracer wraps it by name.
+from .analog import alternating_projection, alternating_projections, effective_channel
 from .channel import ClusteredChannelConfig, generate_channel
-from .digital import RankDeficientChannelError, svd_precoder
+from .digital import RankDeficientChannelError, ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
 from .quantizers import lloyd_max
 # rate_ci_exact is not called here; it stays a module global because
@@ -65,10 +66,6 @@ CSV_HEADER = (
     "experiment,snr_db,bits,n_rf_rx,method,mean_rate_bpshz,rate_stderr,"
     "power_mw,ee_bits_per_joule,n_realizations,master_seed"
 )
-
-# Gram condition number beyond which channel inversion is skipped for a
-# realization (recorded as missing rather than aborting the sweep).
-_CI_CONDITION_LIMIT = 1e12
 
 
 class ConfigError(ValueError):
@@ -251,25 +248,41 @@ class _ChannelState:
     ci_feasible: bool
 
 
-def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> _ChannelState:
-    chan_cfg = ClusteredChannelConfig(
-        n_tx_antennas=config.n_tx,
-        n_rx_antennas=config.n_rx,
-        n_clusters=config.n_clusters,
-        n_rays_per_cluster=config.n_rays,
-        angle_spread_deg=config.angle_spread_deg,
-        seed=realization_seed(config.master_seed, index),
+def _channel(config: ExperimentConfig, index: int):
+    return generate_channel(
+        ClusteredChannelConfig(
+            n_tx_antennas=config.n_tx,
+            n_rx_antennas=config.n_rx,
+            n_clusters=config.n_clusters,
+            n_rays_per_cluster=config.n_rays,
+            angle_spread_deg=config.angle_spread_deg,
+            seed=realization_seed(config.master_seed, index),
+        )
     )
-    h = generate_channel(chan_cfg)
-    pair = alternating_projection(h, config.n_rf_tx, n_rf_rx)
+
+
+def _state(h, pair, n_rf_rx: int) -> _ChannelState:
     g = effective_channel(h, pair)
     nu = g.singular_values
-    ci_feasible = (
-        config.n_rf_tx >= n_rf_rx
-        and nu[-1] > 0
-        and (nu[0] / nu[-1]) ** 2 < _CI_CONDITION_LIMIT
-    )
-    return _ChannelState(h, g, nu, ci_feasible)
+    return _ChannelState(h, g, nu, ci_feasible(nu, n_rf_rx))
+
+
+def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> _ChannelState:
+    h = _channel(config, index)
+    return _state(h, alternating_projection(h, config.n_rf_tx, n_rf_rx), n_rf_rx)
+
+
+def _realize_all(config: ExperimentConfig, widths) -> dict[int, list[_ChannelState]]:
+    """Channel states of every realization for each receive-chain count in ``widths``.
+
+    Each channel is drawn once, and one alternating-projection batch designs
+    the analog precoders of all widths for all realizations.
+    """
+    if not widths:
+        return {}
+    hs = [_channel(config, i) for i in range(config.n_realizations)]
+    pairs = alternating_projections(hs, config.n_rf_tx, widths)
+    return {n: [_state(h, pair, n) for h, pair in zip(hs, pairs[n])] for n in widths}
 
 
 def _method_grid(config: ExperimentConfig, method: str):
@@ -374,25 +387,26 @@ def _aggregate(samples: np.ndarray) -> tuple[float, float]:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Run the configured sweep and return one record per grid cell.
 
-    Channel generation and analog precoding are farmed out to ``threads``
-    workers; aggregation always reduces in realization order, so the emitted
-    records are bit-identical for any thread count.  Grid cells whose stream
-    count is infeasible (n_rf_rx exceeding n_rf_tx) are emitted with NaN
-    rates so a sweep never aborts.
+    Each realization's channel is drawn once, and alternating projection runs
+    once per realization for all receive-chain counts; aggregation reduces in
+    realization order.  Grid cells whose stream count is infeasible (n_rf_rx
+    exceeding n_rf_tx) are emitted with NaN rates so a sweep never aborts.
+
+    ``threads`` must be at least 1 but does not change how the sweep runs:
+    it runs in the calling thread, so the records are bit-identical for any
+    thread count.  A pool of worker threads measured slower than one thread
+    on a 2-core machine, because the batched LAPACK calls are too small to
+    gain from releasing the GIL.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    widths = [n for n in dict.fromkeys(config.n_rf_rx) if n <= min(config.n_rf_tx, config.n_rx)]
+    states = _realize_all(config, widths)
     records = []
     for n_rf_rx in config.n_rf_rx:
-        feasible = n_rf_rx <= min(config.n_rf_tx, config.n_rx)
+        feasible = n_rf_rx in states
         if feasible:
-            indices = range(config.n_realizations)
-            if threads == 1:
-                states = [_realize(config, n_rf_rx, i) for i in indices]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    states = list(pool.map(lambda i: _realize(config, n_rf_rx, i), indices))
-            values = [_per_realization_values(config, n_rf_rx, st) for st in states]
+            values = [_per_realization_values(config, n_rf_rx, st) for st in states[n_rf_rx]]
         for method in config.methods:
             for snr_db, bits in _method_grid(config, method):
                 if feasible:
