@@ -99,9 +99,12 @@ def channel_inversion_precoder(g) -> DigitalPrecoder:
     return DigitalPrecoder(f_bb, "channel_inversion", beta=beta)
 
 
-def snr_ci(g, rho: float) -> float:
-    """Per-sub-channel SNR of channel-inversion transmission, rho / tr{(G G^*)^{-1}}."""
-    if not rho > 0:
+def snr_ci(g, rho):
+    """Per-sub-channel SNR of channel-inversion transmission, rho / tr{(G G^*)^{-1}}.
+
+    ``rho`` may be a float or an array of SNRs; the trace is computed once.
+    """
+    if not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be positive")
     entries = _entries(g)
     nu = _spectrum(g)

@@ -19,13 +19,17 @@ import numpy as np
 # because perfbench's tracer wraps it by name.
 from .analog import alternating_projection, alternating_projections, effective_channel
 from .channel import ClusteredChannelConfig, generate_channel
-from .digital import RankDeficientChannelError, ci_feasible, svd_precoder
+from .digital import ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
 from .quantizers import lloyd_max
-# rate_ci_exact is not called here; it stays a module global because
-# perfbench's tracer wraps it by name.
+# The scalar rate functions are not called here: the sweep runs the array
+# kernels of rates.METHODS.  They stay module globals because perfbench's
+# tracer wraps them by name.
 from .rates import (
+    METHODS,
     RATE_METHODS,
+    ChannelRates,
+    RateGrid,
     rate_aqnm,
     rate_ci_exact,
     rate_ci_exact_grid,
@@ -58,9 +62,8 @@ EXPERIMENTS = (
     "ee_vs_bits",
 )
 
-# "hybrid" is a composite: per realization, the larger of the channel-inversion
-# and SVD rates at the same resolution.
-HARNESS_METHODS = RATE_METHODS + ("hybrid",)
+# The methods a config may name: every entry of rates.METHODS.
+HARNESS_METHODS = RATE_METHODS
 
 CSV_HEADER = (
     "experiment,snr_db,bits,n_rf_rx,method,mean_rate_bpshz,rate_stderr,"
@@ -120,8 +123,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods must be nonempty")
         for m in self.methods:
-            if m not in HARNESS_METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {HARNESS_METHODS}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if not 0 <= self.master_seed < 2**63:
             raise ConfigError("master_seed must be a nonnegative 63-bit integer")
 
@@ -238,16 +241,6 @@ def realization_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-@dataclass(eq=False)
-class _ChannelState:
-    """Per-realization quantities reused across the SNR/bits grid."""
-
-    h: object
-    g: object
-    nu: np.ndarray
-    ci_feasible: bool
-
-
 def _channel(config: ExperimentConfig, index: int):
     return generate_channel(
         ClusteredChannelConfig(
@@ -261,18 +254,25 @@ def _channel(config: ExperimentConfig, index: int):
     )
 
 
-def _state(h, pair, n_rf_rx: int) -> _ChannelState:
+def _state(h, pair, n_rf_rx: int, grid: RateGrid) -> ChannelRates:
     g = effective_channel(h, pair)
-    nu = g.singular_values
-    return _ChannelState(h, g, nu, ci_feasible(nu, n_rf_rx))
+    feasible = ci_feasible(g.singular_values, n_rf_rx)
+    return ChannelRates(g, h, n_rf_rx, feasible, grid, rate_ci_exact_grid, svd_precoder)
 
 
-def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> _ChannelState:
+def _grid(config: ExperimentConfig) -> RateGrid:
+    rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db])
+    etas = np.array([lloyd_max(bits)[1].eta for bits in config.bits_grid])
+    return RateGrid(rhos, config.bits_grid, etas)
+
+
+def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> ChannelRates:
     h = _channel(config, index)
-    return _state(h, alternating_projection(h, config.n_rf_tx, n_rf_rx), n_rf_rx)
+    pair = alternating_projection(h, config.n_rf_tx, n_rf_rx)
+    return _state(h, pair, n_rf_rx, _grid(config))
 
 
-def _realize_all(config: ExperimentConfig, widths) -> dict[int, list[_ChannelState]]:
+def _realize_all(config: ExperimentConfig, widths, grid: RateGrid) -> dict[int, list[ChannelRates]]:
     """Channel states of every realization for each receive-chain count in ``widths``.
 
     Each channel is drawn once, and one alternating-projection batch designs
@@ -282,96 +282,7 @@ def _realize_all(config: ExperimentConfig, widths) -> dict[int, list[_ChannelSta
         return {}
     hs = [_channel(config, i) for i in range(config.n_realizations)]
     pairs = alternating_projections(hs, config.n_rf_tx, widths)
-    return {n: [_state(h, pair, n) for h, pair in zip(hs, pairs[n])] for n in widths}
-
-
-def _method_grid(config: ExperimentConfig, method: str):
-    """(snr_db, bits) cells a method emits records for.
-
-    Closed-form one-bit quantities appear once per SNR at bits=1; the
-    unquantized bound is tagged bits=0 since resolution plays no role there.
-    """
-    if method in ("ci_exact", "ci_fano", "aqnm_svd", "hybrid"):
-        return [(snr, b) for snr in config.snr_grid_db for b in config.bits_grid]
-    if method in ("ci_onebit", "ub_onebit_tight", "ub_onebit_loose"):
-        return [(snr, 1) for snr in config.snr_grid_db]
-    if method == "ub_infinite":
-        return [(snr, 0) for snr in config.snr_grid_db]
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _per_realization_values(config: ExperimentConfig, n_rf_rx: int, state: _ChannelState):
-    """Rates of every requested method at every grid cell for one realization.
-
-    The exact channel-inversion rate is evaluated once per bit depth over the
-    whole SNR grid.  If the effective channel cannot carry ``n_rf_rx`` SVD
-    streams, ``aqnm_svd`` and ``hybrid`` are NaN for this realization.
-    """
-    n_streams = n_rf_rx
-    need_ci = any(m in ("ci_exact", "ci_fano", "hybrid") for m in config.methods)
-    need_svd = any(m in ("aqnm_svd", "hybrid") for m in config.methods)
-    rhos = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    snr_subs = None
-    ci_table = {}
-    if need_ci and state.ci_feasible:
-        beta = float(np.sum(state.nu**-2.0))
-        snr_subs = [rho / beta for rho in rhos]
-        if "ci_exact" in config.methods or "hybrid" in config.methods:
-            ci_table = {
-                bits: rate_ci_exact_grid(bits, snr_subs, n_streams).tolist()
-                for bits in config.bits_grid
-            }
-    f_bbs = etas = None
-    if need_svd:
-        etas = {bits: lloyd_max(bits)[1] for bits in config.bits_grid}
-        try:
-            f_bbs = [svd_precoder(state.g, rho, n_streams) for rho in rhos]
-        except RankDeficientChannelError:
-            f_bbs = None  # the rank test does not depend on rho: no SVD rate at any SNR
-    out = {}
-    for s, snr_db in enumerate(config.snr_grid_db):
-        rho = rhos[s]
-        for bits in config.bits_grid:
-            ci_val = ci_table[bits][s] if ci_table else math.nan
-            svd_val = (
-                rate_aqnm(state.g, f_bbs[s], rho, etas[bits]).bits_per_channel_use
-                if f_bbs is not None
-                else math.nan
-            )
-            if "ci_exact" in config.methods:
-                out[("ci_exact", snr_db, bits)] = ci_val
-            if "ci_fano" in config.methods:
-                out[("ci_fano", snr_db, bits)] = (
-                    rate_ci_fano(bits, snr_subs[s], n_streams).bits_per_channel_use
-                    if snr_subs is not None
-                    else math.nan
-                )
-            if "aqnm_svd" in config.methods:
-                out[("aqnm_svd", snr_db, bits)] = svd_val
-            if "hybrid" in config.methods:
-                # NaN whenever the SVD rate is, so hybrid >= aqnm_svd survives averaging
-                out[("hybrid", snr_db, bits)] = (
-                    svd_val if math.isnan(ci_val) or math.isnan(svd_val) else max(ci_val, svd_val)
-                )
-        if "ci_onebit" in config.methods:
-            out[("ci_onebit", snr_db, 1)] = (
-                rate_ci_onebit(state.g, rho, n_streams).bits_per_channel_use
-                if state.ci_feasible
-                else math.nan
-            )
-        if "ub_onebit_tight" in config.methods:
-            out[("ub_onebit_tight", snr_db, 1)] = ub_onebit_tight(
-                state.g, rho, n_rf_rx
-            ).bits_per_channel_use
-        if "ub_onebit_loose" in config.methods:
-            out[("ub_onebit_loose", snr_db, 1)] = ub_onebit_loose(
-                state.h, rho, n_rf_rx
-            ).bits_per_channel_use
-        if "ub_infinite" in config.methods:
-            out[("ub_infinite", snr_db, 0)] = ub_infinite(
-                state.g, rho, n_rf_rx
-            ).bits_per_channel_use
-    return out
+    return {n: [_state(h, pair, n, grid) for h, pair in zip(hs, pairs[n])] for n in widths}
 
 
 def _aggregate(samples: np.ndarray) -> tuple[float, float]:
@@ -384,13 +295,32 @@ def _aggregate(samples: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
+def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
+    """:func:`_aggregate` of every row of a C-ordered (cells, R) array.
+
+    Rows without NaN are reduced along the contiguous realization axis at
+    once, which sums in the same pairwise order as the one-row reduction, so
+    the results are bit for bit those of :func:`_aggregate`; rows with a NaN
+    go through it.
+    """
+    n = samples.shape[1]
+    means = samples.mean(axis=1)
+    stderrs = samples.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(samples))
+    for i in np.flatnonzero(np.isnan(samples).any(axis=1)):
+        means[i], stderrs[i] = _aggregate(samples[i])
+    return means.tolist(), stderrs.tolist()
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Run the configured sweep and return one record per grid cell.
 
     Each realization's channel is drawn once, and alternating projection runs
-    once per realization for all receive-chain counts; aggregation reduces in
-    realization order.  Grid cells whose stream count is infeasible (n_rf_rx
-    exceeding n_rf_tx) are emitted with NaN rates so a sweep never aborts.
+    once per realization for all receive-chain counts.  For every width and
+    method, the method's kernel from ``rates.METHODS`` fills a (cells,
+    realizations) array, which is reduced along the realization axis.  Grid
+    cells whose stream count is infeasible (n_rf_rx exceeding n_rf_tx) are
+    emitted with NaN rates so a sweep never aborts.  A width or method listed
+    twice is evaluated and emitted once.
 
     ``threads`` must be at least 1 but does not change how the sweep runs:
     it runs in the calling thread, so the records are bit-identical for any
@@ -400,29 +330,37 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    widths = [n for n in dict.fromkeys(config.n_rf_rx) if n <= min(config.n_rf_tx, config.n_rx)]
-    states = _realize_all(config, widths)
+    widths = tuple(dict.fromkeys(config.n_rf_rx))
+    methods = tuple(dict.fromkeys(config.methods))
+    grid = _grid(config)
+    states = _realize_all(
+        config, [n for n in widths if n <= min(config.n_rf_tx, config.n_rx)], grid
+    )
     records = []
-    for n_rf_rx in config.n_rf_rx:
-        feasible = n_rf_rx in states
-        if feasible:
-            values = [_per_realization_values(config, n_rf_rx, st) for st in states[n_rf_rx]]
-        for method in config.methods:
-            for snr_db, bits in _method_grid(config, method):
-                if feasible:
-                    samples = np.array([v[(method, snr_db, bits)] for v in values])
-                    mean, stderr = _aggregate(samples)
+    for n_rf_rx in widths:
+        for method in methods:
+            spec = METHODS[method]
+            cell_bits = spec.cell_bits(config.bits_grid)
+            cells = [(snr_db, bits) for snr_db in config.snr_grid_db for bits in cell_bits]
+            if n_rf_rx in states:
+                samples = np.empty((len(cells), config.n_realizations))
+                for r, state in enumerate(states[n_rf_rx]):
+                    samples[:, r] = spec.kernel(state).ravel()
+                means, stderrs = _aggregate_rows(samples)
+            else:
+                means = stderrs = [math.nan] * len(cells)
+            powers = {
+                bits: total_power(config.power, config.n_rx, n_rf_rx, bits) if bits >= 1 else 0.0
+                for bits in cell_bits
+            }
+            for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
+                p_mw = powers[bits]
+                if bits == 0:
+                    ee = 0.0
+                elif math.isnan(mean):
+                    ee = math.nan
                 else:
-                    mean, stderr = math.nan, math.nan
-                if bits >= 1:
-                    p_mw = total_power(config.power, config.n_rx, n_rf_rx, bits)
-                    ee = (
-                        energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
-                        if not math.isnan(mean)
-                        else math.nan
-                    )
-                else:
-                    p_mw, ee = 0.0, 0.0
+                    ee = energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
                 records.append(
                     ResultRecord(
                         experiment=config.experiment,

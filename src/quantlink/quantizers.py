@@ -195,23 +195,41 @@ def build_transition_matrices(bits: int, snr) -> np.ndarray:
     """
     bits = _check_bits(bits)
     snr = _check_snr_grid(snr)
+    m = 2**bits
+    out = np.empty((snr.size, m, m))
+    _fill_transition_matrices(bits, snr, out, np.empty((snr.size, m // 2, m - 1)))
+    return out
+
+
+def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray, cdf: np.ndarray) -> None:
+    """Write the transition matrices of the validated SNRs ``snr`` into ``out``.
+
+    ``out`` is (S, 2^b, 2^b) and ``cdf`` an (S, 2^(b-1), 2^b - 1) work
+    buffer, both written in place.  The region probabilities are the
+    differences of the CDF row padded with 0 and 1, as ``np.diff`` forms them
+    in :func:`build_transition_matrix`.
+    """
     step = np.sqrt(12.0 * snr / (4.0**bits - 1.0))[:, None]
     m = 2**bits
     half = m // 2
     levels = (np.arange(m) - (m - 1) / 2.0) * step
     thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
-    edges = gauss_cdf(thresholds[:, None, :] - levels[:, :half, None])
-    pads = np.zeros(edges.shape[:2] + (1,))
-    rows = np.diff(np.concatenate((pads, edges, pads + 1.0), axis=2), axis=2)
+    # gauss_cdf(t - l) = 0.5 * erfc(-(t - l) / sqrt 2), and l - t is -(t - l) exactly
+    np.subtract(levels[:, :half, None], thresholds[:, None, :], out=cdf)
+    np.divide(cdf, _SQRT2, out=cdf)
+    erfc(cdf, out=cdf)
+    np.multiply(cdf, 0.5, out=cdf)
+    rows = out[:, :half]
+    rows[:, :, 0] = cdf[:, :, 0]  # cdf - 0.0 is cdf
+    np.subtract(cdf[:, :, 1:], cdf[:, :, :-1], out=rows[:, :, 1 : m - 1])
+    np.subtract(1.0, cdf[:, :, -1], out=rows[:, :, m - 1])
     np.maximum(rows, 0.0, out=rows)  # as in the row loop: clamp roundoff negatives
-    entries = np.empty((snr.size, m, m))
-    entries[:, :half] = rows
-    entries[:, half:] = rows[:, ::-1, ::-1]
-    if np.any(entries < 0) or np.any(entries > 1):
+    out[:, half:] = rows[:, ::-1, ::-1]
+    # the TransitionMatrix checks; min and max see a NaN as np.any does: never out of range
+    if out.size and (out.min() < 0 or out.max() > 1):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    if entries.size and np.max(np.abs(entries.sum(axis=2) - 1.0)) > 1e-12:
+    if out.size and np.max(np.abs(out.sum(axis=2) - 1.0)) > 1e-12:
         raise ValueError("every row must sum to 1 within 1e-12")
-    return entries
 
 
 def _lloyd_map_half(levels: np.ndarray):
@@ -302,4 +320,9 @@ def pam_error_probability(bits: int, snr: float) -> float:
     bits = _check_bits(bits)
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    return float(2.0 * (1.0 - 2.0**-bits) * qfunc(np.sqrt(3.0 * snr / (4.0**bits - 1.0))))
+    return float(_pam_error_probability(bits, snr))
+
+
+def _pam_error_probability(bits: int, snr):
+    """:func:`pam_error_probability` element-wise over an SNR array, unchecked."""
+    return 2.0 * (1.0 - 2.0**-bits) * qfunc(np.sqrt(3.0 * snr / (4.0**bits - 1.0)))
