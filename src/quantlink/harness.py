@@ -11,7 +11,9 @@ parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,11 +67,6 @@ EXPERIMENTS = (
 # The methods a config may name: every entry of rates.METHODS.
 HARNESS_METHODS = RATE_METHODS
 
-CSV_HEADER = (
-    "experiment,snr_db,bits,n_rf_rx,method,mean_rate_bpshz,rate_stderr,"
-    "power_mw,ee_bits_per_joule,n_realizations,master_seed"
-)
-
 
 class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
@@ -114,8 +111,12 @@ class ExperimentConfig:
             raise ConfigError("n_rf_rx cannot exceed n_rx")
         if not self.angle_spread_deg > 0:
             raise ConfigError("angle_spread_deg must be positive")
+        if not math.isfinite(self.angle_spread_deg):
+            raise ConfigError("angle_spread_deg must be finite")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ConfigError("snr_grid_db entries must be finite")
         if not self.bits_grid or any(not 1 <= b <= 8 for b in self.bits_grid):
             raise ConfigError("bits_grid entries must lie in [1, 8]")
         if self.n_realizations < 1:
@@ -146,6 +147,16 @@ class ResultRecord:
     master_seed: int
 
 
+# The CSV columns are the fields of ResultRecord: floats with 10 significant
+# digits, everything else as str() gives it.  One %-format of each record's
+# field tuple writes a row faster than formatting the fields one by one.
+CSV_HEADER = ",".join(f.name for f in fields(ResultRecord))
+_CSV_ROW = ",".join(
+    "%.10g" if kind is float else "%s" for kind in get_type_hints(ResultRecord).values()
+) + "\n"
+_csv_values = attrgetter(*(f.name for f in fields(ResultRecord)))
+
+
 def _parse_int(key, text):
     try:
         return int(text)
@@ -160,43 +171,30 @@ def _parse_float(key, text):
         raise ConfigError(f"key '{key}': expected a number, got {text!r}") from None
 
 
-def _parse_int_list(key, text):
-    return tuple(_parse_int(key, tok.strip()) for tok in text.split(","))
+def _parse_str(key, text):
+    return text
 
 
-def _parse_float_list(key, text):
-    return tuple(_parse_float(key, tok.strip()) for tok in text.split(","))
+def _list_of(parse):
+    return lambda key, text: tuple(parse(key, tok.strip()) for tok in text.split(","))
 
 
-def _parse_str_list(key, text):
-    return tuple(tok.strip() for tok in text.split(","))
-
-
-_KEY_PARSERS = {
-    "experiment": lambda k, v: v,
-    "n_tx": _parse_int,
-    "n_rx": _parse_int,
-    "n_rf_tx": _parse_int,
-    "n_rf_rx": _parse_int_list,
-    "n_clusters": _parse_int,
-    "n_rays": _parse_int,
-    "angle_spread_deg": _parse_float,
-    "snr_grid_db": _parse_float_list,
-    "bits_grid": _parse_int_list,
-    "n_realizations": _parse_int,
-    "methods": _parse_str_list,
-    "p_lna_mw": _parse_float,
-    "p_ps_mw": _parse_float,
-    "p_rf_chain_mw": _parse_float,
-    "p_bb_mw": _parse_float,
-    "fom_w_fj": _parse_float,
-    "f_s_hz": _parse_float,
-    "bandwidth_hz": _parse_float,
-    "output_path": lambda k, v: v,
-    "master_seed": _parse_int,
+# One parser per declared field type; a list type parses each comma-separated item.
+_SCALAR_PARSERS = {str: _parse_str, int: _parse_int, float: _parse_float}
+_TYPE_PARSERS = {
+    **_SCALAR_PARSERS,
+    **{tuple[kind, ...]: _list_of(parse) for kind, parse in _SCALAR_PARSERS.items()},
 }
 
-_POWER_KEYS = {"p_lna_mw", "p_ps_mw", "p_rf_chain_mw", "p_bb_mw", "fom_w_fj", "f_s_hz", "bandwidth_hz"}
+# The config keys are the fields of ExperimentConfig, with the nested power
+# model replaced by the fields of PowerModelParams.
+_FIELD_TYPES = {**get_type_hints(ExperimentConfig), **get_type_hints(PowerModelParams)}
+_POWER_KEYS = frozenset(f.name for f in fields(PowerModelParams))
+_KEY_PARSERS = {
+    f.name: _TYPE_PARSERS[_FIELD_TYPES[f.name]]
+    for f in fields(ExperimentConfig) + fields(PowerModelParams)
+    if f.name != "power"
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -333,9 +331,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     widths = tuple(dict.fromkeys(config.n_rf_rx))
     methods = tuple(dict.fromkeys(config.methods))
     grid = _grid(config)
-    states = _realize_all(
-        config, [n for n in widths if n <= min(config.n_rf_tx, config.n_rx)], grid
-    )
+    states = _realize_all(config, [n for n in widths if n <= config.n_rf_tx], grid)
     records = []
     for n_rf_rx in widths:
         for method in methods:
@@ -379,12 +375,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     return records
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 def emit_csv(records, path) -> None:
     """Write records as CSV, sorted by (snr_db, bits, n_rf_rx, method).
 
@@ -399,20 +389,6 @@ def emit_csv(records, path) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in ordered:
-                row = (
-                    r.experiment,
-                    _format_value(r.snr_db),
-                    str(r.bits),
-                    str(r.n_rf_rx),
-                    r.method,
-                    _format_value(r.mean_rate_bpshz),
-                    _format_value(r.rate_stderr),
-                    _format_value(r.power_mw),
-                    _format_value(r.ee_bits_per_joule),
-                    str(r.n_realizations),
-                    str(r.master_seed),
-                )
-                fh.write(",".join(row) + "\n")
+            fh.writelines(_CSV_ROW % _csv_values(r) for r in ordered)
     except OSError as exc:
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc

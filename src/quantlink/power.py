@@ -9,7 +9,7 @@ conversions centralized in :func:`energy_efficiency`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "PowerModelParams",
@@ -33,10 +33,9 @@ class PowerModelParams:
     bandwidth_hz: float = 1e9
 
     def __post_init__(self):
-        for name in ("p_lna_mw", "p_ps_mw", "p_rf_chain_mw", "p_bb_mw",
-                     "fom_w_fj", "f_s_hz", "bandwidth_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 def adc_power(params: PowerModelParams, bits: int) -> float:
@@ -62,7 +61,7 @@ def total_power(
     network in front of the chains.
     """
     if n_rf_rx < 0 or n_rf_rx > n_rx:
-        raise ValueError(f"need 0 <= n_rf_rx <= n_rx, got {n_rf_rx} > {n_rx}")
+        raise ValueError(f"need 0 <= n_rf_rx <= n_rx, got n_rf_rx={n_rf_rx}, n_rx={n_rx}")
     per_chain = (params.p_ps_mw * n_rx if phase_shifters else 0.0) + params.p_rf_chain_mw
     per_chain += 2.0 * adc_power(params, bits)
     return n_rx * params.p_lna_mw + n_rf_rx * per_chain + params.p_bb_mw
