@@ -8,9 +8,12 @@ two constraint sets, starting from the channel's dominant singular vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import ChannelMatrix, _entries
 
 __all__ = [
     "DegenerateIterateError",
@@ -26,36 +29,7 @@ class DegenerateIterateError(RuntimeError):
     """A projected iterate lost column rank, so its inverse square root does not exist."""
 
 
-def _entries(m) -> np.ndarray:
-    return np.asarray(getattr(m, "entries", m), dtype=complex)
-
-
-def _spectrum(m) -> np.ndarray:
-    sv = getattr(m, "singular_values", None)
-    if sv is not None:
-        return np.asarray(sv, dtype=float)
-    return np.linalg.svd(_entries(m), compute_uv=False)
-
-
-@dataclass(eq=False)
-class EffectiveChannel:
-    """Baseband-visible channel W_RF^* H F_RF with cached singular values."""
-
-    entries: np.ndarray
-    singular_values: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        self.singular_values = np.asarray(self.singular_values, dtype=float)
-
-    @classmethod
-    def from_matrix(cls, g) -> "EffectiveChannel":
-        g = np.asarray(g, dtype=complex)
-        return cls(g, np.linalg.svd(g, compute_uv=False))
-
-    @property
-    def shape(self):
-        return self.entries.shape
+EffectiveChannel = ChannelMatrix  # G = W_RF^* H F_RF, checked at construction like H
 
 
 @dataclass(eq=False)
@@ -167,30 +141,28 @@ def alternating_projections(
         vh_start[i] = vh[:n_rf_tx]
         u_start[i] = u[:, : u_start.shape[2]]
     f_hat = vh_start.conj().swapaxes(1, 2)
-    # per width: combiner stack, channel and precoder-stack row of each of
-    # its rows, and the first residual of each pair
+    # precoder stack: one row per live channel, sorted; per width: combiner
+    # stack, channel of each of its rows, and the first residual of each pair
+    f_chan = np.arange(n_chan)
     w_hat = {n: u_start[..., :n] for n in n_rf_rxs}
-    w_chan = {n: np.arange(n_chan) for n in n_rf_rxs}
-    w_rows = dict(w_chan)
+    w_chan = {n: f_chan for n in n_rf_rxs}
     first_residual = {}
     out = {n: [None] * n_chan for n in n_rf_rxs}
 
     mod_w = 1.0 / np.sqrt(n_rx)
     mod_f = 1.0 / np.sqrt(n_tx)
-    scale_f = np.sqrt(n_rf_tx)
-    scale_w = {n: np.sqrt(n) for n in n_rf_rxs}
     for k in range(1, max_iter + 1):
         if not w_hat:
             break
         f_tilde = _phase_project(f_hat, mod_f)
         f_hat = _nearest_semi_unitary(f_tilde)
-        res_f = _frobenius_norms(f_hat - f_tilde) / scale_f
+        res_f = _frobenius_norms(f_hat - f_tilde) / math.sqrt(n_rf_tx)
         finished = False
         for n in list(w_hat):
             w_tilde = _phase_project(w_hat[n], mod_w)
             w_hat[n] = _nearest_semi_unitary(w_tilde)
-            res_w = _frobenius_norms(w_hat[n] - w_tilde) / scale_w[n]
-            rows = w_rows[n]
+            res_w = _frobenius_norms(w_hat[n] - w_tilde) / math.sqrt(n)
+            rows = f_chan.searchsorted(w_chan[n])
             pair_res_f = res_f[rows]
             residual = np.maximum(res_w, pair_res_f)
             if k == 1:
@@ -216,21 +188,15 @@ def alternating_projections(
                 )
             keep = ~done
             if keep.any():
-                w_hat[n], w_chan[n], w_rows[n] = w_hat[n][keep], w_chan[n][keep], rows[keep]
+                w_hat[n], w_chan[n] = w_hat[n][keep], w_chan[n][keep]
                 first_residual[n] = first_residual[n][keep]
             else:
-                del w_hat[n], w_chan[n], w_rows[n]
+                del w_hat[n], w_chan[n]
             finished = True
-        if finished:
-            # keep the precoder rows that some width still reads
-            live = np.zeros(len(f_hat), dtype=bool)
-            for rows in w_rows.values():
-                live[rows] = True
-            if not live.all():
-                f_hat = f_hat[live]
-                new_row = np.cumsum(live) - 1
-                for n in w_rows:
-                    w_rows[n] = new_row[w_rows[n]]
+        if finished and w_chan:
+            # keep the precoder rows of the channels some width still reads
+            live = np.unique(np.concatenate(list(w_chan.values())))
+            f_hat, f_chan = f_hat[f_chan.searchsorted(live)], live
     return out
 
 
@@ -266,7 +232,7 @@ def alternating_projection(
     return alternating_projections([h], n_rf_tx, [n_rf_rx], epsilon, max_iter)[n_rf_rx][0]
 
 
-def effective_channel(h, w_rf, f_rf=None) -> EffectiveChannel:
+def effective_channel(h, w_rf, f_rf=None) -> ChannelMatrix:
     """Form G = W_RF^* H F_RF and cache its singular values.
 
     ``w_rf`` may be an :class:`AnalogPrecoderPair` (then ``f_rf`` is taken
@@ -274,13 +240,11 @@ def effective_channel(h, w_rf, f_rf=None) -> EffectiveChannel:
     which allows evaluating unconstrained reference precoders.
     """
     if f_rf is None:
-        pair = w_rf
-        w, f = np.asarray(pair.w_rf), np.asarray(pair.f_rf)
-    else:
-        w, f = np.asarray(w_rf, dtype=complex), np.asarray(f_rf, dtype=complex)
+        w_rf, f_rf = w_rf.w_rf, w_rf.f_rf
+    w, f = np.asarray(w_rf, dtype=complex), np.asarray(f_rf, dtype=complex)
     entries = _entries(h)
     if w.shape[0] != entries.shape[0] or f.shape[0] != entries.shape[1]:
         raise ValueError(
             f"shape mismatch: H is {entries.shape}, W_RF is {w.shape}, F_RF is {f.shape}"
         )
-    return EffectiveChannel.from_matrix(w.conj().T @ entries @ f)
+    return ChannelMatrix.from_entries(w.conj().T @ entries @ f)

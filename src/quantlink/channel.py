@@ -44,9 +44,20 @@ class ClusteredChannelConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
 
 
+def _entries(m) -> np.ndarray:
+    return np.asarray(getattr(m, "entries", m), dtype=complex)
+
+
+def _spectrum(m) -> np.ndarray:
+    sv = getattr(m, "singular_values", None)
+    if sv is not None:
+        return np.asarray(sv, dtype=float)
+    return np.linalg.svd(_entries(m), compute_uv=False)
+
+
 @dataclass(eq=False)
 class ChannelMatrix:
-    """A complex n_rx x n_tx channel realization with cached singular values.
+    """A channel H, or effective channel G = W_RF^* H F_RF, with cached singular values.
 
     ``singular_values`` is nonincreasing and must describe ``entries`` to a
     relative tolerance of 1e-10; construction verifies this.
@@ -77,9 +88,7 @@ class ChannelMatrix:
         entries = np.asarray(entries, dtype=complex)
         return cls(entries, np.linalg.svd(entries, compute_uv=False))
 
-    @property
-    def shape(self):
-        return self.entries.shape
+    from_matrix = from_entries  # the name EffectiveChannel callers know
 
 
 def _ula_response(n_antennas: int, angles_rad: np.ndarray) -> np.ndarray:
@@ -138,7 +147,7 @@ def svd_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(U, s, V)`` where U and V have orthonormal columns and s is the
     nonincreasing vector of singular values.  Non-finite input is rejected.
     """
-    entries = np.asarray(getattr(h, "entries", h), dtype=complex)
+    entries = _entries(h)
     if entries.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if not np.all(np.isfinite(entries)):
@@ -153,7 +162,7 @@ def save_channel_matrix(h, path) -> None:
     Entries are ``re+imj`` tokens with 17 significant digits, enough for an
     exact float64 round trip, separated by single spaces.
     """
-    entries = np.asarray(getattr(h, "entries", h), dtype=complex)
+    entries = _entries(h)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in entries:
             fh.write(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _entries, _spectrum
+from .channel import _entries, _spectrum
 
 __all__ = [
     "RankDeficientChannelError",

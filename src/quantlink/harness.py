@@ -23,7 +23,7 @@ from .analog import alternating_projection, alternating_projections, effective_c
 from .channel import ClusteredChannelConfig, generate_channel
 from .digital import ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
-from .quantizers import lloyd_max
+from .quantizers import MAX_BITS, lloyd_max
 # The scalar rate functions are not called here: the sweep runs the array
 # kernels of rates.METHODS.  They stay module globals because perfbench's
 # tracer wraps them by name.
@@ -67,6 +67,11 @@ EXPERIMENTS = (
 # The methods a config may name: every entry of rates.METHODS.
 HARNESS_METHODS = RATE_METHODS
 
+# The list axes of a sweep; an entry listed twice is evaluated and written once.
+_LIST_AXES = ("n_rf_rx", "snr_grid_db", "bits_grid", "methods")
+# SNRs lie in [-MAX_SNR_DB, MAX_SNR_DB] dB: rho in [1e-30, 1e30] keeps every rate finite.
+MAX_SNR_DB = 300
+
 
 class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
@@ -98,6 +103,8 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for name in _LIST_AXES:
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         for name in ("n_tx", "n_rx", "n_rf_tx", "n_clusters", "n_rays"):
@@ -117,8 +124,10 @@ class ExperimentConfig:
             raise ConfigError("snr_grid_db must be nonempty")
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError("snr_grid_db entries must be finite")
-        if not self.bits_grid or any(not 1 <= b <= 8 for b in self.bits_grid):
-            raise ConfigError("bits_grid entries must lie in [1, 8]")
+        if any(abs(s) > MAX_SNR_DB for s in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db entries must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}]")
+        if not self.bits_grid or any(not 1 <= b <= MAX_BITS for b in self.bits_grid):
+            raise ConfigError(f"bits_grid entries must lie in [1, {MAX_BITS}]")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be at least 1")
         if not self.methods:
@@ -317,8 +326,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     method, the method's kernel from ``rates.METHODS`` fills a (cells,
     realizations) array, which is reduced along the realization axis.  Grid
     cells whose stream count is infeasible (n_rf_rx exceeding n_rf_tx) are
-    emitted with NaN rates so a sweep never aborts.  A width or method listed
-    twice is evaluated and emitted once.
+    emitted with NaN rates so a sweep never aborts.  The config lists each
+    width, SNR, bit depth and method once (see ``_LIST_AXES``).
 
     ``threads`` must be at least 1 but does not change how the sweep runs:
     it runs in the calling thread, so the records are bit-identical for any
@@ -328,13 +337,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    widths = tuple(dict.fromkeys(config.n_rf_rx))
-    methods = tuple(dict.fromkeys(config.methods))
     grid = _grid(config)
-    states = _realize_all(config, [n for n in widths if n <= config.n_rf_tx], grid)
+    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid)
     records = []
-    for n_rf_rx in widths:
-        for method in methods:
+    for n_rf_rx in config.n_rf_rx:
+        for method in config.methods:
             spec = METHODS[method]
             cell_bits = spec.cell_bits(config.bits_grid)
             cells = [(snr_db, bits) for snr_db in config.snr_grid_db for bits in cell_bits]

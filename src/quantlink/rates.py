@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analog import _entries, _spectrum
+from .channel import _entries, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.
