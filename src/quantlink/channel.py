@@ -40,6 +40,8 @@ class ClusteredChannelConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not self.angle_spread_deg > 0:
             raise ValueError(f"angle_spread_deg must be > 0, got {self.angle_spread_deg!r}")
+        if not np.isfinite(self.angle_spread_deg):
+            raise ValueError("angle_spread_deg must be finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
 
@@ -59,34 +61,34 @@ def _spectrum(m) -> np.ndarray:
 class ChannelMatrix:
     """A channel H, or effective channel G = W_RF^* H F_RF, with cached singular values.
 
-    ``singular_values`` is nonincreasing and must describe ``entries`` to a
-    relative tolerance of 1e-10; construction verifies this.
+    Construction checks the entries and runs one SVD; ``singular_values``, when
+    given, must be nonincreasing and match it to a relative tolerance of 1e-10.
     """
 
     entries: np.ndarray
-    singular_values: np.ndarray
+    singular_values: np.ndarray | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
-        self.singular_values = np.asarray(self.singular_values, dtype=float)
-        if self.entries.ndim != 2:
-            raise ValueError("entries must be a 2-D complex matrix")
+        if self.entries.ndim != 2 or self.entries.size == 0:
+            raise ValueError("entries must be a nonempty 2-D complex matrix")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("entries must be finite")
-        sv = self.singular_values
-        if sv.shape != (min(self.entries.shape),):
+        fresh = np.linalg.svd(self.entries, compute_uv=False)
+        if self.singular_values is None:
+            self.singular_values = fresh
+            return
+        sv = self.singular_values = np.asarray(self.singular_values, dtype=float)
+        if sv.shape != fresh.shape:
             raise ValueError("singular_values must have length min(n_rx, n_tx)")
         if np.any(sv < 0) or np.any(np.diff(sv) > 0):
             raise ValueError("singular_values must be nonnegative and nonincreasing")
-        fresh = np.linalg.svd(self.entries, compute_uv=False)
-        scale = max(fresh[0], 1.0)
-        if np.max(np.abs(fresh - sv)) > 1e-10 * scale:
+        if np.max(np.abs(fresh - sv)) > 1e-10 * max(fresh[0], 1.0):
             raise ValueError("singular_values do not match entries (relative tol 1e-10)")
 
     @classmethod
     def from_entries(cls, entries) -> "ChannelMatrix":
-        entries = np.asarray(entries, dtype=complex)
-        return cls(entries, np.linalg.svd(entries, compute_uv=False))
+        return cls(entries)
 
     from_matrix = from_entries  # the name EffectiveChannel callers know
 

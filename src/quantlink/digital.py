@@ -37,16 +37,12 @@ class DigitalPrecoder:
     """
 
     f_bb: np.ndarray
-    method: str
     beta: float | None = None
     power_alloc: np.ndarray | None = None
 
     def __post_init__(self):
         self.f_bb = np.asarray(self.f_bb, dtype=complex)
-        if self.method not in ("channel_inversion", "svd_waterfill"):
-            raise ValueError(f"unknown precoder method {self.method!r}")
-        n_streams = self.f_bb.shape[1]
-        if np.linalg.norm(self.f_bb) ** 2 > n_streams + 1e-9:
+        if np.linalg.norm(self.f_bb) ** 2 > self.n_streams + 1e-9:
             raise ValueError("precoder violates the transmit power constraint")
 
     @property
@@ -96,7 +92,7 @@ def channel_inversion_precoder(g) -> DigitalPrecoder:
     beta = float(np.sum(nu**-2.0))
     # G^* (G G^*)^{-1} = V diag(1/nu) U^*
     f_bb = np.sqrt(n_streams / beta) * (vh.conj().T * (1.0 / nu)[None, :]) @ u.conj().T
-    return DigitalPrecoder(f_bb, "channel_inversion", beta=beta)
+    return DigitalPrecoder(f_bb, beta=beta)
 
 
 def snr_ci(g, rho):
@@ -162,4 +158,4 @@ def svd_precoder(g, rho: float, n_streams: int) -> DigitalPrecoder:
     gains = rho * nu[:n_streams] ** 2 / n_streams
     powers = waterfill(gains, float(n_streams))
     f_bb = vh.conj().T[:, :n_streams] * np.sqrt(powers)[None, :]
-    return DigitalPrecoder(f_bb, "svd_waterfill", power_alloc=powers)
+    return DigitalPrecoder(f_bb, power_alloc=powers)

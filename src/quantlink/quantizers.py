@@ -70,23 +70,16 @@ def _check_snr_grid(snr) -> np.ndarray:
 class QuantizerSpec:
     """Thresholds and output levels of one scalar quantizer.
 
-    For the ``uniform_pam_matched`` family the levels are the 2^b equispaced
-    PAM points (in noise-std units) and the thresholds sit at their midpoints;
-    ``stepsize_over_noise`` records the matched step size.  For
-    ``lloyd_max_gaussian`` the levels minimize the MSE of a unit Gaussian
-    input and ``stepsize_over_noise`` is None.
+    Thresholds sit at level midpoints; levels are equispaced PAM points (in
+    noise-std units) or, for Lloyd-Max, MSE-optimal for a unit Gaussian input.
     """
 
     bits: int
-    family: str
     thresholds: np.ndarray
     levels: np.ndarray
-    stepsize_over_noise: float | None = None
 
     def __post_init__(self):
         self.bits = _check_bits(self.bits)
-        if self.family not in ("uniform_pam_matched", "lloyd_max_gaussian"):
-            raise ValueError(f"unknown quantizer family {self.family!r}")
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.levels = np.asarray(self.levels, dtype=float)
         m = 2**self.bits
@@ -99,9 +92,15 @@ class QuantizerSpec:
         midpoints = 0.5 * (self.levels[1:] + self.levels[:-1])
         if np.max(np.abs(self.thresholds - midpoints)) > 1e-12 * max(1.0, self.levels[-1]):
             raise ValueError("thresholds must sit at the midpoints of adjacent levels")
-        if self.family == "uniform_pam_matched":
-            if self.stepsize_over_noise is None or not self.stepsize_over_noise > 0:
-                raise ValueError("uniform family requires a positive stepsize_over_noise")
+
+
+def _check_row_stochastic(entries: np.ndarray) -> None:
+    """Entries in [0, 1], rows summing to 1 within 1e-12, over a matrix or a
+    stack; as with the comparisons, a NaN entry is never out of range."""
+    if entries.size and (entries.min() < 0 or entries.max() > 1):
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    if entries.size and np.max(np.abs(entries.sum(axis=-1) - 1.0)) > 1e-12:
+        raise ValueError("every row must sum to 1 within 1e-12")
 
 
 @dataclass(eq=False)
@@ -117,14 +116,7 @@ class TransitionMatrix:
         m = self.entries.shape[0]
         if self.entries.shape != (m, m) or m < 2 or m & (m - 1):
             raise ValueError("transition matrix must be square with a power-of-two size")
-        if np.any(self.entries < 0) or np.any(self.entries > 1):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.max(np.abs(self.entries.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("every row must sum to 1 within 1e-12")
-
-    @property
-    def bits(self) -> int:
-        return int(np.log2(self.entries.shape[0]))
+        _check_row_stochastic(self.entries)
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ def uniform_pam_quantizer(bits: int, snr: float) -> QuantizerSpec:
     m = 2**bits
     levels = (np.arange(m) - (m - 1) / 2.0) * step
     thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
-    return QuantizerSpec(bits, "uniform_pam_matched", thresholds, levels, step)
+    return QuantizerSpec(bits, thresholds, levels)
 
 
 def build_transition_matrix(bits: int, snr: float) -> TransitionMatrix:
@@ -225,11 +217,7 @@ def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray, cdf: 
     np.subtract(1.0, cdf[:, :, -1], out=rows[:, :, m - 1])
     np.maximum(rows, 0.0, out=rows)  # as in the row loop: clamp roundoff negatives
     out[:, half:] = rows[:, ::-1, ::-1]
-    # the TransitionMatrix checks; min and max see a NaN as np.any does: never out of range
-    if out.size and (out.min() < 0 or out.max() > 1):
-        raise ValueError("transition probabilities must lie in [0, 1]")
-    if out.size and np.max(np.abs(out.sum(axis=2) - 1.0)) > 1e-12:
-        raise ValueError("every row must sum to 1 within 1e-12")
+    _check_row_stochastic(out)
 
 
 def _lloyd_map_half(levels: np.ndarray):
@@ -301,7 +289,7 @@ def lloyd_max(bits: int) -> tuple[QuantizerSpec, DistortionFactor]:
     bits = _check_bits(bits)
     levels, eta = _lloyd_fixed_point(bits)
     thresholds = 0.5 * (levels[1:] + levels[:-1])
-    spec = QuantizerSpec(bits, "lloyd_max_gaussian", thresholds, levels.copy())
+    spec = QuantizerSpec(bits, thresholds, levels.copy())
     return spec, DistortionFactor(bits, eta)
 
 

@@ -449,10 +449,16 @@ def evaluate(query: RateQuery, g, h=None) -> RateResult:
 
     ``h`` (the full channel) is only needed for ``ub_onebit_loose``.  The SVD
     method builds its own waterfilling precoder and Lloyd-Max distortion
-    factor for the queried resolution.  A method the channel cannot carry
-    raises :class:`RankDeficientChannelError`.
+    factor for the queried resolution.  The query's stream count must equal
+    the receive-chain count, G's row count, as in the sweep.  A method the
+    channel cannot carry raises :class:`RankDeficientChannelError`.
     """
     n_rf_rx = _entries(g).shape[0]
+    if query.n_streams != n_rf_rx:
+        raise ValueError(
+            f"n_streams ({query.n_streams}) must equal the effective channel's "
+            f"receive-chain count ({n_rf_rx})"
+        )
     grid = RateGrid(np.array([query.rho]), (query.bits,), np.array([lloyd_max(query.bits)[1].eta]))
     rates = ChannelRates(g, h, query.n_streams, ci_feasible(_spectrum(g), n_rf_rx), grid)
     value = float(METHODS[query.method].kernel(rates)[0, 0])

@@ -11,6 +11,7 @@ from quantlink import (
     save_channel_matrix,
     svd_of,
 )
+from quantlink.analog import EffectiveChannel
 
 # Monte-Carlo estimate of E[||H||_F^2]/(n_tx n_rx) over seeds 0..999 with the
 # reference geometry, pinned once as a regression constant.
@@ -31,6 +32,10 @@ class TestConfigValidation:
             ClusteredChannelConfig(4, 4, seed=-1)
         with pytest.raises(ValueError):
             ClusteredChannelConfig(4, 4, seed=2**64)
+
+    def test_angle_spread_must_be_finite(self):
+        with pytest.raises(ValueError, match="angle_spread_deg must be finite"):
+            ClusteredChannelConfig(8, 4, angle_spread_deg=float("inf"))
 
 
 class TestGenerateChannel:
@@ -100,6 +105,41 @@ class TestChannelMatrixInvariants:
         np.testing.assert_allclose(
             h.singular_values, np.linalg.svd(a, compute_uv=False), rtol=0, atol=0
         )
+
+
+class TestSingleDecomposition:
+    """A matrix built from entries is checked first, then decomposed once."""
+
+    def test_from_entries_runs_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ChannelMatrix.from_entries(np.eye(3, 5))
+        assert calls == [{"compute_uv": False}]
+
+    def test_singular_values_are_the_svd_of_the_entries(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        h = ChannelMatrix.from_entries(a)
+        assert np.array_equal(h.singular_values, np.linalg.svd(a, compute_uv=False))
+
+    def test_non_finite_entries_rejected_before_the_svd(self):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            EffectiveChannel.from_matrix([[np.nan, 0], [0, 1]])
+
+    def test_empty_entries_rejected(self):
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            ChannelMatrix.from_entries(np.zeros((0, 3)))
+
+    def test_given_singular_values_are_kept_when_they_match(self):
+        sv = np.array([3.0, 1.0])
+        h = ChannelMatrix(np.diag([1.0, 3.0]), sv)
+        assert np.array_equal(h.singular_values, sv)
 
 
 class TestSvdOf:

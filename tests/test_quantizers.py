@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import quantlink.quantizers as quantizers
 from quantlink import (
     DistortionFactor,
     TransitionMatrix,
     build_transition_matrix,
+    build_transition_matrices,
     gauss_cdf,
     high_resolution_distortion,
     lloyd_max,
@@ -114,6 +116,43 @@ class TestTransitionMatrix:
             build_transition_matrix(2, 0.0)
         with pytest.raises(ValueError, match="row"):
             TransitionMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+
+def _negative_entry(row):
+    row[1] += row[0] + 1e-3
+    row[0] = -1e-3
+
+
+def _long_row(row):
+    row[1] += 1e-11
+
+
+class TestOneRowStochasticCheck:
+    """TransitionMatrix and build_transition_matrices run one check, so the same
+    bad matrix gets the same message from both."""
+
+    @pytest.mark.parametrize(
+        "tamper, message", [(_negative_entry, r"lie in \[0, 1\]"), (_long_row, "row")]
+    )
+    def test_same_bad_matrix_same_message(self, monkeypatch, tamper, message):
+        entries = build_transition_matrix(1, 1.0).entries
+        tamper(entries[0])
+        entries[1] = entries[0][::-1]
+        with pytest.raises(ValueError, match=message) as direct:
+            TransitionMatrix(entries)
+
+        # build_transition_matrices checks the same matrix, tampered after the fill
+        check = quantizers._check_row_stochastic
+
+        def tamper_then_check(stack):
+            tamper(stack[0, 0])
+            stack[0, 1] = stack[0, 0][::-1]
+            check(stack)
+
+        monkeypatch.setattr(quantizers, "_check_row_stochastic", tamper_then_check)
+        with pytest.raises(ValueError) as batched:
+            build_transition_matrices(1, np.array([1.0]))
+        assert str(batched.value) == str(direct.value)
 
 
 class TestLloydMax:

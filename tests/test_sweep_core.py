@@ -381,6 +381,15 @@ def test_evaluate_reports_a_method_the_channel_cannot_carry():
     assert float(evaluate(RateQuery(1.0, 2, 3, "aqnm_svd"), g)) > 0.0
 
 
+@pytest.mark.parametrize("method", ["ci_exact", "ub_infinite"])
+@pytest.mark.parametrize("n_streams", [1, 3])
+def test_evaluate_needs_one_stream_per_receive_chain(method, n_streams):
+    g = np.eye(2, 4, dtype=complex)
+    with pytest.raises(ValueError, match=rf"n_streams \({n_streams}\).*count \(2\)"):
+        evaluate(RateQuery(10.0, n_streams, 3, method), g)
+    assert float(evaluate(RateQuery(10.0, 2, 3, method), g)) > 0.0
+
+
 def test_loose_bound_needs_the_full_channel_in_the_kernel():
     state = channel_rates(np.eye(2, 4), 2)
     with pytest.raises(ValueError, match="full channel"):
