@@ -99,7 +99,8 @@ def alternating_projections(
 ) -> dict[int, list[AnalogPrecoderPair]]:
     """Alternating projection for several channels and combiner widths at once.
 
-    Returns ``{n_rf_rx: [pair for each channel of hs]}``, where each pair is
+    The channels of ``hs`` must share one shape.  Returns
+    ``{n_rf_rx: [pair for each channel of hs]}``, where each pair is
     bit for bit what :func:`alternating_projection` gives for that channel
     and width.  The precoder iterate does not depend on the combiner width,
     so one precoder stack over the channels and one combiner stack per width
@@ -122,6 +123,9 @@ def alternating_projections(
         raise ValueError("hs must hold at least one channel")
     n_chan = len(entries)
     n_rx, n_tx = entries[0].shape
+    for i, m in enumerate(entries):
+        if m.shape != entries[0].shape:
+            raise ValueError(f"hs[{i}] has shape {m.shape}, but hs[0] has shape {entries[0].shape}")
     if not 1 <= n_rf_tx <= n_tx:
         raise ValueError(f"n_rf_tx must be in [1, {n_tx}], got {n_rf_tx}")
     for n_rf_rx in n_rf_rxs:

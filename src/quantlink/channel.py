@@ -46,17 +46,6 @@ class ClusteredChannelConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
 
 
-def _entries(m) -> np.ndarray:
-    return np.asarray(getattr(m, "entries", m), dtype=complex)
-
-
-def _spectrum(m) -> np.ndarray:
-    sv = getattr(m, "singular_values", None)
-    if sv is not None:
-        return np.asarray(sv, dtype=float)
-    return np.linalg.svd(_entries(m), compute_uv=False)
-
-
 @dataclass(eq=False)
 class ChannelMatrix:
     """A channel H, or effective channel G = W_RF^* H F_RF, with cached singular values.
@@ -91,6 +80,19 @@ class ChannelMatrix:
         return cls(entries)
 
     from_matrix = from_entries  # the name EffectiveChannel callers know
+
+
+def _matrix(m) -> ChannelMatrix:
+    """A matrix argument as a ChannelMatrix: ``m`` itself, or ``m`` checked and decomposed once."""
+    return m if isinstance(m, ChannelMatrix) else ChannelMatrix(m)
+
+
+def _entries(m) -> np.ndarray:
+    return _matrix(m).entries
+
+
+def _spectrum(m) -> np.ndarray:
+    return _matrix(m).singular_values
 
 
 def _ula_response(n_antennas: int, angles_rad: np.ndarray) -> np.ndarray:
@@ -147,14 +149,9 @@ def svd_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Accepts a ChannelMatrix or a plain complex matrix and returns
     ``(U, s, V)`` where U and V have orthonormal columns and s is the
-    nonincreasing vector of singular values.  Non-finite input is rejected.
+    nonincreasing vector of singular values.
     """
-    entries = _entries(h)
-    if entries.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("matrix entries must be finite")
-    u, s, vh = np.linalg.svd(entries, full_matrices=False)
+    u, s, vh = np.linalg.svd(_entries(h), full_matrices=False)
     return u, s, vh.conj().T
 
 
@@ -171,14 +168,26 @@ def save_channel_matrix(h, path) -> None:
             fh.write("\n")
 
 
+def _parse_entry(token: str, number: int) -> complex:
+    try:
+        return complex(token)
+    except ValueError:
+        raise ValueError(f"line {number}: malformed entry {token!r}") from None
+
+
 def load_channel_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_channel_matrix`."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             tokens = line.split()
-            if tokens:
-                rows.append([complex(tok) for tok in tokens])
+            if not tokens:
+                continue
+            if rows and len(tokens) != len(rows[0]):
+                raise ValueError(
+                    f"line {number}: expected {len(rows[0])} entries, got {len(tokens)}"
+                )
+            rows.append([_parse_entry(tok, number) for tok in tokens])
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return np.asarray(rows, dtype=complex)

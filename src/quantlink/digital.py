@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _entries, _spectrum
+from .channel import _entries, _matrix
 
 __all__ = [
     "RankDeficientChannelError",
@@ -102,10 +102,9 @@ def snr_ci(g, rho):
     """
     if not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be positive")
-    entries = _entries(g)
-    nu = _spectrum(g)
-    _check_invertible(nu, entries.shape[0])
-    gram = entries @ entries.conj().T
+    g = _matrix(g)
+    _check_invertible(g.singular_values, g.entries.shape[0])
+    gram = g.entries @ g.entries.conj().T
     return rho / float(np.trace(np.linalg.inv(gram)).real)
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import _entries, _spectrum
+from .channel import ChannelMatrix, _entries, _matrix, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.
@@ -76,14 +76,33 @@ class RateQuery:
     method: str
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be at least 1")
+        _check_link(self.rho, self.n_streams)
         if self.bits < 1:
             raise ValueError("bits must be at least 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown rate method {self.method!r}")
+
+
+def _check_count(n: int, name: str = "n_streams") -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _check_link(rho: float, n: int, name: str = "n_streams") -> None:
+    """A positive SNR and at least one stream (or receive chain)."""
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    _check_count(n, name)
+
+
+def _check_stream_count(g: ChannelMatrix, n_streams: int) -> None:
+    """The stream count must be G's row count, the receive-chain count."""
+    n_rf_rx = g.entries.shape[0]
+    if n_streams != n_rf_rx:
+        raise ValueError(
+            f"n_streams ({n_streams}) must equal the effective channel's "
+            f"receive-chain count ({n_rf_rx})"
+        )
 
 
 @dataclass(frozen=True)
@@ -151,8 +170,10 @@ def rate_ci_onebit(g, rho: float, n_streams: int) -> RateResult:
     """Exact rate of channel-inversion transmission with one-bit ADCs.
 
     Each of the 2*Ns real sub-channels carries antipodal signaling, giving
-    2 Ns (1 - Hb(Q(sqrt(SNR_CI)))).
+    2 Ns (1 - Hb(Q(sqrt(SNR_CI)))).  ``n_streams`` must be G's row count.
     """
+    g = _matrix(g)
+    _check_stream_count(g, n_streams)
     return RateResult(_onebit_rate_from_snr(snr_ci(g, rho), n_streams), "ci_onebit")
 
 
@@ -161,8 +182,12 @@ def rate_ci_onebit_lb(g, rho: float, n_streams: int) -> RateResult:
 
     Replaces SNR_CI by its bound rho * nu_min^2 / Ns, so the gap to the
     one-bit upper bound is a pure power shift of 10 log10(nu_1^2/nu_Ns^2) dB.
+    ``n_streams`` must be G's row count.
     """
-    nu = _spectrum(g)
+    g = _matrix(g)
+    _check_link(rho, n_streams)
+    _check_stream_count(g, n_streams)
+    nu = g.singular_values
     snr_floor = rho * nu[n_streams - 1] ** 2 / n_streams
     return RateResult(_onebit_rate_from_snr(snr_floor, n_streams), "ci_onebit")
 
@@ -189,6 +214,7 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
     """
     bits = _check_bits(bits)
     snr_ci = _check_snr_grid(snr_ci)
+    _check_count(n_streams)
     if bits == 1:
         # same quantity; the closed form avoids needless matrix assembly
         return _onebit_rate_from_snr(snr_ci, n_streams)
@@ -226,6 +252,7 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
 
 def rate_ci_fano(bits: int, snr_ci: float, n_streams: int) -> RateResult:
     """Fano lower bound 2 Ns (b - Hb(Pe) - Pe log2(2^b - 1)) on the exact rate."""
+    _check_count(n_streams)
     return RateResult(_fano_rate(bits, pam_error_probability(bits, snr_ci), n_streams), "ci_fano")
 
 
@@ -294,16 +321,19 @@ def ub_onebit_tight(g, rho: float, n_rf_rx: int) -> RateResult:
     Saturates at 2 N bps/Hz and is met with equality when G G^* is a scaled
     identity; at low SNR it grows like (2/pi) rho nu_1^2 / ln 2.
     """
+    _check_link(rho, n_rf_rx, "n_rf_rx")
     return RateResult(_onebit_bound(_spectrum(g)[0], rho, n_rf_rx), "ub_onebit_tight")
 
 
 def ub_onebit_loose(h, rho: float, n_rf_rx: int) -> RateResult:
     """Precoder-independent one-bit upper bound using the channel's own top singular value."""
+    _check_link(rho, n_rf_rx, "n_rf_rx")
     return RateResult(_onebit_bound(_spectrum(h)[0], rho, n_rf_rx), "ub_onebit_loose")
 
 
 def ub_infinite(g, rho: float, n_rf_rx: int) -> RateResult:
     """Unquantized capacity bound N log2(1 + rho nu_1^2 / N); unbounded in rho."""
+    _check_link(rho, n_rf_rx, "n_rf_rx")
     return RateResult(_infinite_bound(_spectrum(g)[0], rho, n_rf_rx), "ub_infinite")
 
 
@@ -331,8 +361,8 @@ class ChannelRates:
     itself, so it can trace or replace them.
     """
 
-    g: object
-    h: object
+    g: ChannelMatrix
+    h: ChannelMatrix | None
     n_streams: int
     ci_feasible: bool
     grid: RateGrid
@@ -341,7 +371,7 @@ class ChannelRates:
 
     @property
     def n_rf_rx(self) -> int:
-        return _entries(self.g).shape[0]
+        return self.g.entries.shape[0]
 
     def nans(self, columns: int) -> np.ndarray:
         return np.full((len(self.grid.rhos), columns), math.nan)
@@ -349,7 +379,7 @@ class ChannelRates:
     @cached_property
     def snr_ci(self) -> np.ndarray:
         """Sub-channel SNR of channel inversion, rho / sum(nu^-2), at each rho."""
-        beta = float(np.sum(_spectrum(self.g) ** -2.0))
+        beta = float(np.sum(self.g.singular_values ** -2.0))
         return self.grid.rhos / beta
 
     @cached_property
@@ -370,10 +400,8 @@ class ChannelRates:
             f_bbs = [self.precoder(self.g, rho, self.n_streams) for rho in rhos]
         except RankDeficientChannelError:
             return out  # the rank test does not depend on rho: no SVD rate at any SNR
-        g_mat = _entries(self.g)
         for s, (rho, f_bb) in enumerate(zip(rhos, f_bbs)):
-            a = g_mat @ np.asarray(getattr(f_bb, "f_bb", f_bb), dtype=complex)
-            out[s] = _aqnm_rates(a, rho, self.grid.etas)
+            out[s] = _aqnm_rates(self.g.entries @ f_bb.f_bb, rho, self.grid.etas)
         return out
 
 
@@ -402,7 +430,7 @@ def _hybrid_kernel(x: ChannelRates) -> np.ndarray:
 def _ub_onebit_loose_kernel(x: ChannelRates) -> np.ndarray:
     if x.h is None:
         raise ValueError("ub_onebit_loose needs the full channel matrix")
-    return _onebit_bound(_spectrum(x.h)[0], x.grid.rhos, x.n_rf_rx)[:, None]
+    return _onebit_bound(x.h.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
 
 
 @dataclass(frozen=True)
@@ -430,11 +458,11 @@ METHODS: dict[str, RateMethod] = {
     "ci_onebit": RateMethod("onebit", _ci_onebit_kernel),
     "aqnm_svd": RateMethod("bits", lambda x: x.aqnm),
     "ub_onebit_tight": RateMethod(
-        "onebit", lambda x: _onebit_bound(_spectrum(x.g)[0], x.grid.rhos, x.n_rf_rx)[:, None]
+        "onebit", lambda x: _onebit_bound(x.g.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
     ),
     "ub_onebit_loose": RateMethod("onebit", _ub_onebit_loose_kernel),
     "ub_infinite": RateMethod(
-        "unquantized", lambda x: _infinite_bound(_spectrum(x.g)[0], x.grid.rhos, x.n_rf_rx)[:, None]
+        "unquantized", lambda x: _infinite_bound(x.g.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
     ),
     # a composite: per realization, the larger of the channel-inversion and
     # SVD rates at the same resolution
@@ -453,14 +481,12 @@ def evaluate(query: RateQuery, g, h=None) -> RateResult:
     the receive-chain count, G's row count, as in the sweep.  A method the
     channel cannot carry raises :class:`RankDeficientChannelError`.
     """
-    n_rf_rx = _entries(g).shape[0]
-    if query.n_streams != n_rf_rx:
-        raise ValueError(
-            f"n_streams ({query.n_streams}) must equal the effective channel's "
-            f"receive-chain count ({n_rf_rx})"
-        )
+    g = _matrix(g)
+    h = None if h is None else _matrix(h)
+    n = query.n_streams
+    _check_stream_count(g, n)
     grid = RateGrid(np.array([query.rho]), (query.bits,), np.array([lloyd_max(query.bits)[1].eta]))
-    rates = ChannelRates(g, h, query.n_streams, ci_feasible(_spectrum(g), n_rf_rx), grid)
+    rates = ChannelRates(g, h, n, ci_feasible(g.singular_values, n), grid)
     value = float(METHODS[query.method].kernel(rates)[0, 0])
     if math.isnan(value):
         raise RankDeficientChannelError(
