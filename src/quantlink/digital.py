@@ -134,6 +134,13 @@ def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
         mu = total_power + inv[0]
     powers = np.zeros_like(gains)
     powers[order[:k]] = mu - inv[:k]
+    if abs(powers.sum() - total_power) > 1e-9 * total_power:
+        # a 1/g_i that dwarfs the budget swallows it in mu - 1/g_i: measure
+        # each 1/g_i from the mean of the active ones instead
+        while k > 1 and inv[k - 1] - inv[:k].mean() > total_power / k:
+            k -= 1
+        powers[:] = 0.0
+        powers[order[:k]] = total_power / k - (inv[:k] - inv[:k].mean())
     return powers
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,8 +68,6 @@ EXPERIMENTS = (
 # The methods a config may name: every entry of rates.METHODS.
 HARNESS_METHODS = RATE_METHODS
 
-# The list axes of a sweep; an entry listed twice is evaluated and written once.
-_LIST_AXES = ("n_rf_rx", "snr_grid_db", "bits_grid", "methods")
 # SNRs lie in [-MAX_SNR_DB, MAX_SNR_DB] dB: rho in [1e-30, 1e30] keeps every rate finite.
 MAX_SNR_DB = 300
 
@@ -139,6 +138,14 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a nonnegative 63-bit integer")
 
 
+# The config keys are the fields of ExperimentConfig, with the nested power
+# model replaced by the fields of PowerModelParams.
+_FIELD_TYPES = {**get_type_hints(ExperimentConfig), **get_type_hints(PowerModelParams)}
+# The list axes of a sweep are the tuple fields; an entry listed twice is
+# evaluated and written once.
+_LIST_AXES = tuple(f.name for f in fields(ExperimentConfig) if get_origin(_FIELD_TYPES[f.name]) is tuple)
+
+
 @dataclass(frozen=True)
 class ResultRecord:
     """One aggregated grid point of an experiment."""
@@ -166,44 +173,24 @@ _CSV_ROW = ",".join(
 _csv_values = attrgetter(*(f.name for f in fields(ResultRecord)))
 
 
-def _parse_int(key, text):
+# The noun a type mismatch names for each value type a key may declare.
+_NOUNS = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _parse(kind, key, text):
+    """``text`` as the declared type ``kind``; a ``tuple[T, ...]`` parses each
+    comma-separated item as T."""
+    if get_origin(kind) is tuple:
+        return tuple(_parse(get_args(kind)[0], key, item.strip()) for item in text.split(","))
+    noun = _NOUNS[kind]
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
+        raise ConfigError(f"key '{key}': expected {noun}, got {text!r}") from None
 
 
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {text!r}") from None
-
-
-def _parse_str(key, text):
-    return text
-
-
-def _list_of(parse):
-    return lambda key, text: tuple(parse(key, tok.strip()) for tok in text.split(","))
-
-
-# One parser per declared field type; a list type parses each comma-separated item.
-_SCALAR_PARSERS = {str: _parse_str, int: _parse_int, float: _parse_float}
-_TYPE_PARSERS = {
-    **_SCALAR_PARSERS,
-    **{tuple[kind, ...]: _list_of(parse) for kind, parse in _SCALAR_PARSERS.items()},
-}
-
-# The config keys are the fields of ExperimentConfig, with the nested power
-# model replaced by the fields of PowerModelParams.
-_FIELD_TYPES = {**get_type_hints(ExperimentConfig), **get_type_hints(PowerModelParams)}
 _POWER_KEYS = frozenset(f.name for f in fields(PowerModelParams))
-_KEY_PARSERS = {
-    f.name: _TYPE_PARSERS[_FIELD_TYPES[f.name]]
-    for f in fields(ExperimentConfig) + fields(PowerModelParams)
-    if f.name != "power"
-}
+_KEY_PARSERS = {name: partial(_parse, kind) for name, kind in _FIELD_TYPES.items() if name != "power"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -327,7 +314,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     realizations) array, which is reduced along the realization axis.  Grid
     cells whose stream count is infeasible (n_rf_rx exceeding n_rf_tx) are
     emitted with NaN rates so a sweep never aborts.  The config lists each
-    width, SNR, bit depth and method once (see ``_LIST_AXES``).
+    width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
+    width's receiver power is computed once per bit depth.
 
     ``threads`` must be at least 1 but does not change how the sweep runs:
     it runs in the calling thread, so the records are bit-identical for any
@@ -339,8 +327,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
         raise ValueError("threads must be at least 1")
     grid = _grid(config)
     states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid)
+    depths = {b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b}
     records = []
     for n_rf_rx in config.n_rf_rx:
+        powers = {bits: total_power(config.power, config.n_rx, n_rf_rx, bits) for bits in depths}
         for method in config.methods:
             spec = METHODS[method]
             cell_bits = spec.cell_bits(config.bits_grid)
@@ -352,18 +342,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
                 means, stderrs = _aggregate_rows(samples)
             else:
                 means = stderrs = [math.nan] * len(cells)
-            powers = {
-                bits: total_power(config.power, config.n_rx, n_rf_rx, bits) if bits >= 1 else 0.0
-                for bits in cell_bits
-            }
             for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
-                p_mw = powers[bits]
-                if bits == 0:
-                    ee = 0.0
-                elif math.isnan(mean):
-                    ee = math.nan
+                if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
+                    p_mw, ee = 0.0, 0.0
                 else:
-                    ee = energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
+                    p_mw = powers[bits]
+                    ee = (math.nan if math.isnan(mean)
+                          else energy_efficiency(mean, config.power.bandwidth_hz, p_mw))
                 records.append(
                     ResultRecord(
                         experiment=config.experiment,

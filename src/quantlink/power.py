@@ -9,6 +9,7 @@ conversions centralized in :func:`energy_efficiency`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -34,8 +35,11 @@ class PowerModelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
+            value = getattr(self, f.name)
+            if not value > 0:
                 raise ValueError(f"{f.name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
 
 
 def adc_power(params: PowerModelParams, bits: int) -> float:

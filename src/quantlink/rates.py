@@ -259,7 +259,8 @@ def rate_ci_fano(bits: int, snr_ci: float, n_streams: int) -> RateResult:
 def _fano_rate(bits: int, pe, n_streams: int):
     """The Fano bound element-wise over the symbol error probabilities ``pe``."""
     penalty = _binary_entropy(pe) + pe * np.log2(2.0**bits - 1.0)
-    return 2.0 * n_streams * (bits - penalty)
+    # roundoff can leave a tiny negative residue once pe is near 0
+    return 2.0 * n_streams * np.maximum(bits - penalty, 0.0)
 
 
 def _eta_value(eta) -> float:
