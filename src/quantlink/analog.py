@@ -31,6 +31,8 @@ class DegenerateIterateError(RuntimeError):
 
 EffectiveChannel = ChannelMatrix  # G = W_RF^* H F_RF, checked at construction like H
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(eq=False)
 class AnalogPrecoderPair:
@@ -71,7 +73,7 @@ def _nearest_semi_unitary(a: np.ndarray) -> np.ndarray:
     # Polar factor A (A^*A)^{-1/2}, computed through the SVD for stability.
     # Accepts a stack of matrices; any rank-deficient member raises.
     p, s, qh = np.linalg.svd(a, full_matrices=False)
-    if (s[..., -1] <= max(a.shape[-2:]) * np.finfo(float).eps * s[..., 0]).any():
+    if (s[..., -1] <= max(a.shape[-2:]) * _EPS * s[..., 0]).any():
         raise DegenerateIterateError(
             "projected iterate is numerically rank deficient; cannot form (A^*A)^(-1/2)"
         )
@@ -118,6 +120,22 @@ def alternating_projections(
         If a pair's final projection distance exceeds its first one, which
         alternating projection between closed sets rules out.
     """
+    hs = list(hs)
+    out = {n: [None] * len(hs) for n in n_rf_rxs}
+    for n, i, pair in _projection_stream(hs, n_rf_tx, n_rf_rxs, epsilon, max_iter):
+        out[n][i] = pair
+    return out
+
+
+def _projection_stream(
+    hs, n_rf_tx: int, n_rf_rxs, epsilon: float = 1e-5, max_iter: int = 1000
+):
+    """The batch of :func:`alternating_projections`, one pair at a time.
+
+    Yields ``(n_rf_rx, channel index, pair)`` as each pair passes its closing
+    check, so pairs that stop early can be used while the rest iterate.  Each
+    (width, channel) pair is yielded once.
+    """
     entries = [_entries(h) for h in hs]
     if not entries:
         raise ValueError("hs must hold at least one channel")
@@ -151,7 +169,6 @@ def alternating_projections(
     w_hat = {n: u_start[..., :n] for n in n_rf_rxs}
     w_chan = {n: f_chan for n in n_rf_rxs}
     first_residual = {}
-    out = {n: [None] * n_chan for n in n_rf_rxs}
 
     mod_w = 1.0 / np.sqrt(n_rx)
     mod_f = 1.0 / np.sqrt(n_tx)
@@ -182,7 +199,7 @@ def alternating_projections(
             # Copies free the stacks; order="K" keeps each matrix's layout,
             # which later matrix products see.
             for i in np.flatnonzero(done):
-                out[n][w_chan[n][i]] = AnalogPrecoderPair(
+                yield n, int(w_chan[n][i]), AnalogPrecoderPair(
                     f_rf=f_tilde[rows[i]].copy(order="K"),
                     w_rf=w_tilde[i].copy(order="K"),
                     residual_f=float(pair_res_f[i]),
@@ -201,7 +218,6 @@ def alternating_projections(
             # keep the precoder rows of the channels some width still reads
             live = np.unique(np.concatenate(list(w_chan.values())))
             f_hat, f_chan = f_hat[f_chan.searchsorted(live)], live
-    return out
 
 
 def alternating_projection(

@@ -6,8 +6,10 @@
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
 The QUANTLINK_THREADS environment variable sets the default thread count;
-the --threads flag overrides it.  Both are validated but do not change how
-a sweep runs (see run_experiment).
+the --threads flag overrides it.  More than one thread computes the exact
+channel-inversion rate tables on min(threads, CPUs) - 1 worker threads while
+alternating projection runs; the GIL, which scipy's erfc holds, bounds the
+gain.  The CSV bytes never depend on the thread count (see run_experiment).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--threads",
         type=int,
-        help="accepted for compatibility; the sweep always runs in one thread, "
-        "which measured faster than a thread pool",
+        help="threads for the exact-rate tables, computed beside alternating "
+        "projection (at most the CPU count); the output does not depend on it",
     )
 
     val = sub.add_parser("validate", help="check a config file and exit")

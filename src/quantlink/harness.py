@@ -11,6 +11,9 @@ parallelism.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter
@@ -18,9 +21,15 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import analog
 # alternating_projection runs only through _realize; it stays a module global
 # because perfbench's tracer wraps it by name.
-from .analog import alternating_projection, alternating_projections, effective_channel
+from .analog import (
+    _projection_stream,
+    alternating_projection,
+    alternating_projections,
+    effective_channel,
+)
 from .channel import ClusteredChannelConfig, generate_channel
 from .digital import ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
@@ -266,17 +275,71 @@ def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> ChannelRates
     return _state(h, pair, n_rf_rx, _grid(config))
 
 
-def _realize_all(config: ExperimentConfig, widths, grid: RateGrid) -> dict[int, list[ChannelRates]]:
+def _pair_stream(hs, n_rf_tx: int, widths):
+    """``(width, channel index, pair)`` for every pair, as alternating projection finishes it.
+
+    A replaced ``alternating_projections`` global (a reference loop) still
+    designs every pair: its dict is streamed once it returns.
+    """
+    if alternating_projections is analog.alternating_projections:
+        return _projection_stream(hs, n_rf_tx, widths)
+    pairs = alternating_projections(hs, n_rf_tx, widths)
+    return ((n, i, pair) for n in pairs for i, pair in enumerate(pairs[n]))
+
+
+def _realize_all(
+    config: ExperimentConfig, widths, grid: RateGrid, threads: int = 1
+) -> dict[int, list[ChannelRates]]:
     """Channel states of every realization for each receive-chain count in ``widths``.
 
     Each channel is drawn once, and one alternating-projection batch designs
-    the analog precoders of all widths for all realizations.
+    the analog precoders of all widths for all realizations.  If a method
+    reads the exact channel-inversion tables, each CI-feasible pair queues
+    one ``rate_ci_exact_grid`` call per bit depth, largest first, as soon as
+    AP finishes it.  AP keeps this thread busy, so ``threads - 1`` worker
+    threads (at most one fewer than the CPUs) run the queued calls meanwhile.
+    After AP this thread runs every call no worker has started, and each
+    state's table is stored as its ``ci_exact``.  Every table comes from the
+    same call on the same inputs, so the states do not depend on ``threads``.
     """
     if not widths:
         return {}
     hs = [_channel(config, i) for i in range(config.n_realizations)]
-    pairs = alternating_projections(hs, config.n_rf_tx, widths)
-    return {n: [_state(h, pair, n, grid) for h, pair in zip(hs, pairs[n])] for n in widths}
+    states = {n: [None] * len(hs) for n in widths}
+    exact = any(METHODS[m].reads_ci_exact for m in config.methods)
+    # The executor starts a worker only for a call that finds none idle, so
+    # never more workers than calls.
+    workers = min(threads, os.cpu_count() or 1) - 1
+    pool = ThreadPoolExecutor(workers) if exact and workers > 0 else None
+    tables = []  # (state, {bits: (call, future)}, {bits: column run here}) in queue order
+    try:
+        for n, i, pair in _pair_stream(hs, config.n_rf_tx, widths):
+            state = states[n][i] = _state(hs[i], pair, n, grid)
+            if not (exact and state.ci_feasible):
+                continue
+            jobs = {}
+            for b in sorted(grid.bits, reverse=True):
+                call = partial(state.ci_exact_grid, b, state.snr_ci, n)
+                # a worker runs the call in a copy of this thread's context,
+                # numpy's error state included; without a pool it never starts
+                jobs[b] = call, pool.submit(copy_context().run, call) if pool else Future()
+            tables.append((state, jobs, {}))
+        # This thread runs the calls no worker has started, from the back of
+        # the queue while the workers take theirs from the front.
+        for _, jobs, ran in reversed(tables):
+            for b, (call, future) in reversed(jobs.items()):
+                if future.cancel():
+                    ran[b] = call()
+        # Workers never read a state's ci_exact: on Python < 3.12 every
+        # instance's cached_property shares one lock, which would serialize them.
+        for state, jobs, ran in tables:
+            state.ci_exact = np.stack(
+                [ran[b] if b in ran else jobs[b][1].result() for b in grid.bits], axis=1
+            )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return states
 
 
 def _aggregate(samples: np.ndarray) -> tuple[float, float]:
@@ -317,16 +380,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
     width's receiver power is computed once per bit depth.
 
-    ``threads`` must be at least 1 but does not change how the sweep runs:
-    it runs in the calling thread, so the records are bit-identical for any
-    thread count.  A pool of worker threads measured slower than one thread
-    on a 2-core machine, because the batched LAPACK calls are too small to
-    gain from releasing the GIL.
+    ``threads`` must be at least 1.  With ``threads > 1`` a pool of
+    ``min(threads, CPUs) - 1`` worker threads computes the exact
+    channel-inversion tables of the pairs that alternating projection has
+    finished while the calling thread goes on with AP (see ``_realize_all``);
+    with one thread no thread is started.  The gain is bounded by the GIL,
+    which ``scipy.special.erfc`` in the exact-rate kernel holds.  Each table
+    comes from the same call on the same inputs, so the records are
+    bit-identical for any thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     grid = _grid(config)
-    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid)
+    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid, threads)
     depths = {b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b}
     records = []
     for n_rf_rx in config.n_rf_rx:

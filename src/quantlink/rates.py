@@ -442,10 +442,13 @@ class RateMethod:
     (one cell per SNR at bits=1) or ``"unquantized"`` (one cell per SNR,
     tagged bits=0).  ``kernel`` maps a :class:`ChannelRates` to an (S, B)
     array, B being the number of bit depths the grid gives.
+    ``reads_ci_exact`` marks a kernel that reads ``ChannelRates.ci_exact``,
+    whose tables a sweep computes ahead of the kernels.
     """
 
     kind: str
     kernel: Callable[[ChannelRates], np.ndarray]
+    reads_ci_exact: bool = False
 
     def cell_bits(self, bits_grid) -> tuple[int, ...]:
         """The bits value of each of the method's cells at one SNR."""
@@ -454,7 +457,7 @@ class RateMethod:
 
 # The one table of rate methods: validation, the sweep and evaluate() read it.
 METHODS: dict[str, RateMethod] = {
-    "ci_exact": RateMethod("bits", lambda x: x.ci_exact),
+    "ci_exact": RateMethod("bits", lambda x: x.ci_exact, reads_ci_exact=True),
     "ci_fano": RateMethod("bits", _ci_fano_kernel),
     "ci_onebit": RateMethod("onebit", _ci_onebit_kernel),
     "aqnm_svd": RateMethod("bits", lambda x: x.aqnm),
@@ -467,7 +470,7 @@ METHODS: dict[str, RateMethod] = {
     ),
     # a composite: per realization, the larger of the channel-inversion and
     # SVD rates at the same resolution
-    "hybrid": RateMethod("bits", _hybrid_kernel),
+    "hybrid": RateMethod("bits", _hybrid_kernel, reads_ci_exact=True),
 }
 
 RATE_METHODS = tuple(METHODS)
