@@ -8,8 +8,9 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
 The QUANTLINK_THREADS environment variable sets the default thread count;
 the --threads flag overrides it.  More than one thread computes the exact
 channel-inversion rate tables on min(threads, CPUs) - 1 worker threads while
-alternating projection runs; the GIL, which scipy's erfc holds, bounds the
-gain.  The CSV bytes never depend on the thread count (see run_experiment).
+alternating projection runs.  The kernel releases the GIL, so the
+projection left on the calling thread bounds the gain.  The CSV bytes never
+depend on the thread count (see run_experiment).
 """
 
 from __future__ import annotations

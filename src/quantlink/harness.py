@@ -384,10 +384,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     ``min(threads, CPUs) - 1`` worker threads computes the exact
     channel-inversion tables of the pairs that alternating projection has
     finished while the calling thread goes on with AP (see ``_realize_all``);
-    with one thread no thread is started.  The gain is bounded by the GIL,
-    which ``scipy.special.erfc`` in the exact-rate kernel holds.  Each table
-    comes from the same call on the same inputs, so the records are
-    bit-identical for any thread count.
+    with one thread no thread is started.  The exact-rate kernel's array
+    calls release the GIL, so the gain is bounded by the AP left on the
+    calling thread.  Each table comes from the same call on the same inputs,
+    so the records are bit-identical for any thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

@@ -63,6 +63,8 @@ def _check_snr_grid(snr) -> np.ndarray:
         raise ValueError("snr must be a one-dimensional array")
     if not np.all(snr > 0):
         raise ValueError("snr must be positive")
+    if not np.all(snr < np.inf):
+        raise ValueError("snr must be finite")
     return snr
 
 
@@ -96,10 +98,10 @@ class QuantizerSpec:
 
 def _check_row_stochastic(entries: np.ndarray) -> None:
     """Entries in [0, 1], rows summing to 1 within 1e-12, over a matrix or a
-    stack; as with the comparisons, a NaN entry is never out of range."""
-    if entries.size and (entries.min() < 0 or entries.max() > 1):
+    stack.  A NaN entry, which an overflowed step size leaves, fails both."""
+    if entries.size and not (entries.min() >= 0 and entries.max() <= 1):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    if entries.size and np.max(np.abs(entries.sum(axis=-1) - 1.0)) > 1e-12:
+    if entries.size and not np.max(np.abs(entries.sum(axis=-1) - 1.0)) <= 1e-12:
         raise ValueError("every row must sum to 1 within 1e-12")
 
 
@@ -141,6 +143,8 @@ def matched_stepsize(bits: int, snr: float) -> float:
     bits = _check_bits(bits)
     if not snr > 0:
         raise ValueError("snr must be positive")
+    if not snr < np.inf:
+        raise ValueError("snr must be finite")
     return float(np.sqrt(12.0 * snr / (4.0**bits - 1.0)))
 
 
@@ -189,23 +193,28 @@ def build_transition_matrices(bits: int, snr) -> np.ndarray:
     snr = _check_snr_grid(snr)
     m = 2**bits
     out = np.empty((snr.size, m, m))
-    _fill_transition_matrices(bits, snr, out, np.empty((snr.size, m // 2, m - 1)))
+    _fill_transition_matrices(bits, snr, out)
     return out
 
 
-def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray, cdf: np.ndarray) -> None:
+def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray) -> None:
     """Write the transition matrices of the validated SNRs ``snr`` into ``out``.
 
-    ``out`` is (S, 2^b, 2^b) and ``cdf`` an (S, 2^(b-1), 2^b - 1) work
-    buffer, both written in place.  The region probabilities are the
-    differences of the CDF row padded with 0 and 1, as ``np.diff`` forms them
-    in :func:`build_transition_matrix`.
+    ``out`` is (S, 2^b, 2^b), written in place.  The CDF at the shifted
+    thresholds is built in the lower half of each matrix (rows 2^(b-1) on,
+    columns 0..2^b - 2), the upper half is formed from it, and mirroring the
+    upper half overwrites the CDF last.  So a ``rate_ci_exact_grid`` call
+    holds two buffers of at most ``_BATCH_ENTRIES`` doubles: the matrix
+    stack, whose lower half holds the CDF first, and the terms.  The region
+    probabilities are the differences of the CDF row padded with 0 and 1, as
+    ``np.diff`` forms them in :func:`build_transition_matrix`.
     """
     step = np.sqrt(12.0 * snr / (4.0**bits - 1.0))[:, None]
     m = 2**bits
     half = m // 2
     levels = (np.arange(m) - (m - 1) / 2.0) * step
     thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
+    cdf = out[:, half:, : m - 1]
     # gauss_cdf(t - l) = 0.5 * erfc(-(t - l) / sqrt 2), and l - t is -(t - l) exactly
     np.subtract(levels[:, :half, None], thresholds[:, None, :], out=cdf)
     np.divide(cdf, _SQRT2, out=cdf)

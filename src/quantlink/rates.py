@@ -209,8 +209,10 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
     snr_ci[k]))`` bit for bit: the matrices are built in batches of at most
     ``_BATCH_ENTRIES`` entries, the mutual-information terms are computed
     element-wise, and each SNR's masked terms are reduced by the same pairwise
-    sum as :func:`discrete_mi`.  Every batch reuses the same buffers, written
-    in place.  One bit uses the antipodal closed form.
+    sum as :func:`discrete_mi`.  A call holds two buffers of at most
+    ``_BATCH_ENTRIES`` doubles, which every batch reuses in place: the matrix
+    stack, which becomes the joint once its logs are taken, and the terms.
+    One bit uses the antipodal closed form.
     """
     bits = _check_bits(bits)
     snr_ci = _check_snr_grid(snr_ci)
@@ -223,29 +225,27 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
     prior = np.full(m, 1.0 / m)
     per_batch = max(1, min(snr_ci.size, _BATCH_ENTRIES // (m * m)))
     t = np.empty((per_batch, m, m))
-    cdf = np.empty((per_batch, half, m - 1))
-    joint = np.empty_like(t)
     terms = np.empty_like(t)
-    mask = np.empty(t.shape, dtype=bool)
     mi = np.empty(snr_ci.size)
     for start in range(0, snr_ci.size, per_batch):
         k = min(per_batch, snr_ci.size - start)
-        tk, jk, lk, mk = t[:k], joint[:k], terms[:k], mask[:k]
-        _fill_transition_matrices(bits, snr_ci[start : start + k], tk, cdf[:k])
+        tk, lk = t[:k], terms[:k]
+        _fill_transition_matrices(bits, snr_ci[start : start + k], tk)
         marginal = np.matmul(prior, tk)
-        np.multiply(tk, prior[0], out=jk)  # the prior is uniform
-        np.greater(jk, 0, out=mk)
         log_marginal = np.log(marginal, where=marginal > 0, out=np.zeros_like(marginal))
-        # log(0) = -inf and 0 * -inf = nan occur only outside the mask
+        # log(0) = -inf and 0 * -inf = nan occur only where the joint is 0
         with np.errstate(divide="ignore", invalid="ignore"):
             # the lower half of each matrix mirrors the upper half, so do its logs
             np.log(tk[:, :half], out=lk[:, :half])
             lk[:, half:] = lk[:, :half][:, ::-1, ::-1]
             np.subtract(lk, log_marginal[:, None, :], out=lk)
+            jk = np.multiply(tk, prior[0], out=tk)  # the joint; the prior is uniform
             np.multiply(jk, lk, out=lk)
+        # the joint is nonnegative, so a positive minimum means the mask
+        # selects every term in C order: the same pairwise sum
+        positive = jk.min(axis=(1, 2)) > 0
         for j in range(k):
-            # a full mask selects every term in C order: the same pairwise sum
-            nats = float(np.sum(lk[j] if mk[j].all() else lk[j][mk[j]]))
+            nats = float(np.sum(lk[j] if positive[j] else lk[j][jk[j] > 0]))
             mi[start + j] = max(nats / _LN2, 0.0)
     return 2.0 * n_streams * mi
 
