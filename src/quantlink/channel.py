@@ -36,14 +36,21 @@ class ClusteredChannelConfig:
     def __post_init__(self):
         for name in ("n_tx_antennas", "n_rx_antennas", "n_clusters", "n_rays_per_cluster"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not self.angle_spread_deg > 0:
             raise ValueError(f"angle_spread_deg must be > 0, got {self.angle_spread_deg!r}")
         if not np.isfinite(self.angle_spread_deg):
             raise ValueError("angle_spread_deg must be finite")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
+            raise ValueError(
+                f"seed must be an integer that fits in an unsigned 64-bit integer, got {self.seed!r}"
+            )
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import erfc, ndtri
 
 __all__ = [
@@ -244,6 +243,47 @@ def _lloyd_map_half(levels: np.ndarray):
     return cond_mean, prob, edges
 
 
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve a tridiagonal system for one right-hand side.
+
+    ``sub``, ``diag`` and ``sup`` are the n-1, n and n-1 entries below, on and
+    above the diagonal.  The floating-point operations are LAPACK ``dgtsv``'s,
+    in its order: elimination with partial pivoting (rows i and i+1 swap when
+    |sub_i| > |diag_i|), keeping the second-superdiagonal fill-in of a swap,
+    then back substitution.  Python floats are IEEE doubles, so the result
+    equals SciPy's ``solve_banded((1, 1), ...)`` bit for bit.  A zero
+    pivot raises ``np.linalg.LinAlgError``.
+    """
+    dl, d, du, x = (np.asarray(v, dtype=float).tolist() for v in (sub, diag, sup, rhs))
+    n = len(d)
+    du2 = [0.0] * n
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+    x[n - 1] = x[n - 1] / d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return np.array(x)
+
+
 @lru_cache(maxsize=None)
 def _lloyd_fixed_point(bits: int):
     """Solve the Lloyd-Max stationarity conditions on the positive half line.
@@ -251,7 +291,10 @@ def _lloyd_fixed_point(bits: int):
     Newton iterations on l_j - E[y | cell_j(l)] = 0 with the tridiagonal
     Jacobian converge from the Gaussian-quantile start in a handful of steps;
     the result is certified by checking that one full Lloyd step moves no
-    level by more than 1e-12.
+    level by more than 1e-12.  Each Newton step is solved by
+    :func:`_solve_tridiagonal`, which reproduces LAPACK ``dgtsv`` (the
+    routine behind SciPy's ``solve_banded``) bit for bit, so the package
+    needs only ``scipy.special`` from scipy.
     """
     half = 2 ** (bits - 1)
     levels = ndtri(0.5 + (np.arange(half) + 0.5) / (2 * half))
@@ -271,11 +314,7 @@ def _lloyd_fixed_point(bits: int):
             diag = np.ones(half)
             diag[1:] -= dga[1:] / 2.0  # lowest cell's lower edge is fixed at 0
             diag[:-1] -= dgb[:-1] / 2.0  # top cell's upper edge is +inf
-            band = np.zeros((3, half))
-            band[0, 1:] = -dgb[:-1] / 2.0
-            band[1] = diag
-            band[2, :-1] = -dga[1:] / 2.0
-            step = solve_banded((1, 1), band, residual)
+            step = _solve_tridiagonal(-dga[1:] / 2.0, diag, -dgb[:-1] / 2.0, residual)
             levels = levels - step
             if np.max(np.abs(step)) < 1e-14:
                 break

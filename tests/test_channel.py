@@ -38,6 +38,31 @@ class TestConfigValidation:
             ClusteredChannelConfig(8, 4, angle_spread_deg=float("inf"))
 
 
+class TestConfigIntegerTypes:
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", True, False, np.bool_(True), None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ClusteredChannelConfig(4, 4, seed=seed)
+
+    @pytest.mark.parametrize(
+        "name", ["n_tx_antennas", "n_rx_antennas", "n_clusters", "n_rays_per_cluster"]
+    )
+    def test_counts_reject_bools(self, name):
+        kwargs = dict(n_tx_antennas=4, n_rx_antennas=4, n_clusters=2, n_rays_per_cluster=2)
+        kwargs[name] = True
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            ClusteredChannelConfig(**kwargs)
+
+    def test_numpy_integer_seed_gives_the_same_channel(self):
+        h = generate_channel(ClusteredChannelConfig(8, 4, seed=7)).entries
+        for seed in (np.int64(7), np.uint64(7)):
+            g = generate_channel(ClusteredChannelConfig(8, 4, seed=seed)).entries
+            assert np.array_equal(g, h)
+
+    def test_largest_seed_is_accepted(self):
+        generate_channel(ClusteredChannelConfig(4, 4, seed=2**64 - 1))
+
+
 class TestGenerateChannel:
     def test_deterministic_given_seed(self):
         cfg = ClusteredChannelConfig(64, 8, 4, 5, 7.5, seed=42)
