@@ -6,11 +6,12 @@
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
 The QUANTLINK_THREADS environment variable sets the default thread count;
-the --threads flag overrides it.  More than one thread computes the exact
-channel-inversion rate tables on min(threads, CPUs) - 1 worker threads while
-alternating projection runs.  The kernel releases the GIL, so the
-projection left on the calling thread bounds the gain.  The CSV bytes never
-depend on the thread count (see run_experiment).
+the --threads flag overrides it.  With more than one thread, each analog
+design queues one exact-rate table job; min(threads, CPUs) - 1 workers run
+them during alternating projection, and the calling thread runs the rest
+from the back.  The kernel releases the GIL, so the projection left on the
+calling thread bounds the gain.  The CSV bytes never depend on the thread
+count (see run_experiment).
 """
 
 from __future__ import annotations

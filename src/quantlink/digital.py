@@ -118,7 +118,7 @@ def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise ValueError("gains must be nonempty")
-    if np.any(gains <= 0):
+    if not np.all(gains > 0):
         raise ValueError("gains must be positive")
     if not total_power > 0:
         raise ValueError("total_power must be positive")

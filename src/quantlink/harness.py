@@ -30,7 +30,7 @@ from .analog import (
     alternating_projections,
     effective_channel,
 )
-from .channel import ClusteredChannelConfig, generate_channel
+from .channel import ClusteredChannelConfig, _is_integer, generate_channel
 from .digital import ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
 from .quantizers import MAX_BITS, lloyd_max
@@ -111,6 +111,11 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            if kind is int and not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+            if kind == tuple[int, ...] and not all(map(_is_integer, getattr(self, name))):
+                raise ConfigError(f"{name} entries must be integers")
         for name in _LIST_AXES:
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         if self.experiment not in EXPERIMENTS:
@@ -294,48 +299,37 @@ def _realize_all(
 
     Each channel is drawn once, and one alternating-projection batch designs
     the analog precoders of all widths for all realizations.  If a method
-    reads the exact channel-inversion tables, each CI-feasible pair queues
-    one ``rate_ci_exact_grid`` call per bit depth, largest first, as soon as
-    AP finishes it.  AP keeps this thread busy, so ``threads - 1`` worker
-    threads (at most one fewer than the CPUs) run the queued calls meanwhile.
-    After AP this thread runs every call no worker has started, and each
-    state's table is stored as its ``ci_exact``.  Every table comes from the
-    same call on the same inputs, so the states do not depend on ``threads``.
+    reads the exact channel-inversion tables, each analog design queues one
+    table job, ``ChannelRates._ci_exact_table``, as soon as AP finishes it.
+    AP keeps this thread busy, so ``threads - 1`` worker threads (at most one
+    fewer than the CPUs) take the queued jobs from the front meanwhile.
+    After AP this thread runs the unstarted jobs from the back, and each
+    table is stored as its state's ``ci_exact``.  Every table comes from the
+    same calls on the same inputs, so the states do not depend on ``threads``.
     """
     if not widths:
         return {}
     hs = [_channel(config, i) for i in range(config.n_realizations)]
     states = {n: [None] * len(hs) for n in widths}
     exact = any(METHODS[m].reads_ci_exact for m in config.methods)
-    # The executor starts a worker only for a call that finds none idle, so
-    # never more workers than calls.
+    # The executor starts a worker only for a job that finds none idle, so
+    # never more workers than jobs.
     workers = min(threads, os.cpu_count() or 1) - 1
     pool = ThreadPoolExecutor(workers) if exact and workers > 0 else None
-    tables = []  # (state, {bits: (call, future)}, {bits: column run here}) in queue order
+    tables = []  # (state, future) in queue order
     try:
         for n, i, pair in _pair_stream(hs, config.n_rf_tx, widths):
             state = states[n][i] = _state(hs[i], pair, n, grid)
-            if not (exact and state.ci_feasible):
-                continue
-            jobs = {}
-            for b in sorted(grid.bits, reverse=True):
-                call = partial(state.ci_exact_grid, b, state.snr_ci, n)
-                # a worker runs the call in a copy of this thread's context,
+            if exact:
+                # a worker runs the job in a copy of this thread's context,
                 # numpy's error state included; without a pool it never starts
-                jobs[b] = call, pool.submit(copy_context().run, call) if pool else Future()
-            tables.append((state, jobs, {}))
-        # This thread runs the calls no worker has started, from the back of
-        # the queue while the workers take theirs from the front.
-        for _, jobs, ran in reversed(tables):
-            for b, (call, future) in reversed(jobs.items()):
-                if future.cancel():
-                    ran[b] = call()
-        # Workers never read a state's ci_exact: on Python < 3.12 every
-        # instance's cached_property shares one lock, which would serialize them.
-        for state, jobs, ran in tables:
-            state.ci_exact = np.stack(
-                [ran[b] if b in ran else jobs[b][1].result() for b in grid.bits], axis=1
-            )
+                job = pool.submit(copy_context().run, state._ci_exact_table) if pool else Future()
+                tables.append((state, job))
+        # Workers take jobs from the front of the queue, so the started ones
+        # are a prefix: once a job cannot be cancelled, every job before it
+        # has started too, and waiting on it costs nothing.
+        for state, job in reversed(tables):
+            state.ci_exact = state._ci_exact_table() if job.cancel() else job.result()
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -382,12 +376,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
 
     ``threads`` must be at least 1.  With ``threads > 1`` a pool of
     ``min(threads, CPUs) - 1`` worker threads computes the exact
-    channel-inversion tables of the pairs that alternating projection has
-    finished while the calling thread goes on with AP (see ``_realize_all``);
-    with one thread no thread is started.  The exact-rate kernel's array
-    calls release the GIL, so the gain is bounded by the AP left on the
-    calling thread.  Each table comes from the same call on the same inputs,
-    so the records are bit-identical for any thread count.
+    channel-inversion tables, one table job per analog design, while the
+    calling thread goes on with AP; the calling thread then runs the
+    unstarted jobs from the back (see ``_realize_all``).  With one thread no
+    thread is started.  The exact-rate kernel's array calls release the GIL,
+    so the gain is bounded by the AP left on the calling thread.  Each table
+    comes from the same calls on the same inputs, so the records are
+    bit-identical for any thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

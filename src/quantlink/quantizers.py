@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, ndtri
 
+from .channel import _is_integer
+
 __all__ = [
     "MAX_BITS",
     "QuantizerSpec",
@@ -51,7 +53,7 @@ def _gauss_pdf(x):
 
 
 def _check_bits(bits: int) -> int:
-    if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
+    if not _is_integer(bits) or not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
     return int(bits)
 
@@ -354,7 +356,7 @@ def pam_error_probability(bits: int, snr: float) -> float:
     Q(sqrt(snr)).
     """
     bits = _check_bits(bits)
-    if snr < 0:
+    if not snr >= 0:
         raise ValueError("snr must be nonnegative")
     return float(_pam_error_probability(bits, snr))
 

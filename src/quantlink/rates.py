@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelMatrix, _entries, _matrix, _spectrum
+from .channel import ChannelMatrix, _entries, _is_integer, _matrix, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.
@@ -84,14 +84,16 @@ class RateQuery:
 
 
 def _check_count(n: int, name: str = "n_streams") -> None:
-    if n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
 def _check_link(rho: float, n: int, name: str = "n_streams") -> None:
-    """A positive SNR and at least one stream (or receive chain)."""
+    """A positive finite SNR and at least one stream (or receive chain)."""
     if not rho > 0:
         raise ValueError("rho must be positive")
+    if not rho < math.inf:
+        raise ValueError("rho must be finite")
     _check_count(n, name)
 
 
@@ -386,6 +388,11 @@ class ChannelRates:
     @cached_property
     def ci_exact(self) -> np.ndarray:
         """(S, B) exact channel-inversion rates; one grid call per bit depth."""
+        return self._ci_exact_table()
+
+    def _ci_exact_table(self) -> np.ndarray:
+        """``ci_exact`` uncached, for a sweep's pool workers: on Python < 3.12
+        every instance's cached_property shares one lock, which would serialize them."""
         if not self.ci_feasible:
             return self.nans(len(self.grid.bits))
         return np.stack(
