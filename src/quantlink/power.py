@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .channel import _is_integer
+
 __all__ = [
     "PowerModelParams",
     "adc_power",
@@ -44,7 +46,7 @@ class PowerModelParams:
 
 def adc_power(params: PowerModelParams, bits: int) -> float:
     """Single ADC power in mW: FOM_W * f_s * 2^bits."""
-    if bits < 1:
+    if not _is_integer(bits) or bits < 1:
         raise ValueError("bits must be at least 1")
     # fJ * Hz = 1e-15 W; scale to mW
     return params.fom_w_fj * 1e-15 * params.f_s_hz * 2.0**bits * 1e3
@@ -64,7 +66,7 @@ def total_power(
     receiver (typically with n_rf_rx = n_rx) that has no analog combining
     network in front of the chains.
     """
-    if n_rf_rx < 0 or n_rf_rx > n_rx:
+    if not (_is_integer(n_rx) and _is_integer(n_rf_rx)) or n_rf_rx < 0 or n_rf_rx > n_rx:
         raise ValueError(f"need 0 <= n_rf_rx <= n_rx, got n_rf_rx={n_rf_rx}, n_rx={n_rx}")
     per_chain = (params.p_ps_mw * n_rx if phase_shifters else 0.0) + params.p_rf_chain_mw
     per_chain += 2.0 * adc_power(params, bits)

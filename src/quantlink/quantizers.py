@@ -226,7 +226,8 @@ def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray) -> No
     np.subtract(cdf[:, :, 1:], cdf[:, :, :-1], out=rows[:, :, 1 : m - 1])
     np.subtract(1.0, cdf[:, :, -1], out=rows[:, :, m - 1])
     np.maximum(rows, 0.0, out=rows)  # as in the row loop: clamp roundoff negatives
-    out[:, half:] = rows[:, ::-1, ::-1]
+    for matrix in out:  # one at a time: a whole-stack mirror copies the source first
+        matrix[half:] = matrix[:half][::-1, ::-1]
     _check_row_stochastic(out)
 
 

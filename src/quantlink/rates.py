@@ -79,6 +79,7 @@ class RateQuery:
         _check_link(self.rho, self.n_streams)
         if self.bits < 1:
             raise ValueError("bits must be at least 1")
+        _check_bits(self.bits)
         if self.method not in METHODS:
             raise ValueError(f"unknown rate method {self.method!r}")
 
@@ -239,7 +240,8 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             # the lower half of each matrix mirrors the upper half, so do its logs
             np.log(tk[:, :half], out=lk[:, :half])
-            lk[:, half:] = lk[:, :half][:, ::-1, ::-1]
+            for lj in lk:  # matrix by matrix, as in _fill_transition_matrices
+                lj[half:] = lj[:half][::-1, ::-1]
             np.subtract(lk, log_marginal[:, None, :], out=lk)
             jk = np.multiply(tk, prior[0], out=tk)  # the joint; the prior is uniform
             np.multiply(jk, lk, out=lk)
@@ -278,7 +280,8 @@ def rate_aqnm(g, f_bb, rho: float, eta) -> RateResult:
     log2 | I + (1-eta) (rho/Ns) F* G* (I + eta diag{(rho/Ns) G F F* G*})^{-1} G F |,
     evaluated through a Cholesky factorization of the positive-definite
     argument.  ``eta`` may be a :class:`DistortionFactor` or a bare float
-    (eta = 0 recovers the unquantized log-det rate).
+    (eta = 0 recovers the unquantized log-det rate).  A one-point call of
+    :func:`_aqnm_rates`.
     """
     eta = _eta_value(eta)
     if not rho > 0:
@@ -287,27 +290,28 @@ def rate_aqnm(g, f_bb, rho: float, eta) -> RateResult:
     f_mat = np.asarray(getattr(f_bb, "f_bb", f_bb), dtype=complex)
     if f_mat.shape[0] != g_mat.shape[1]:
         raise ValueError(f"precoder of shape {f_mat.shape} does not match G {g_mat.shape}")
-    return RateResult(_aqnm_rates(g_mat @ f_mat, rho, np.array([eta]))[0], "aqnm_svd")
+    rate = _aqnm_rates((g_mat @ f_mat)[None], np.array([rho]), np.array([eta]))[0, 0]
+    return RateResult(rate, "aqnm_svd")
 
 
-def _aqnm_rates(a: np.ndarray, rho: float, etas: np.ndarray) -> np.ndarray:
-    """AQNM rate of the precoded channel ``a = G F_BB`` at each distortion factor.
+def _aqnm_rates(a: np.ndarray, rhos: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """(S, B) AQNM rates of the (S, N, Ns) stack ``a[s] = G F_BB(rhos[s])`` at each eta.
 
-    The row powers of ``a`` are computed once, and one stacked Cholesky
-    factorizes the log-det argument of every ``eta``; each factor goes
-    through the same operations as a one-``eta`` call.
+    One einsum, one stacked matmul and one stacked Cholesky cover the whole
+    grid; each (rho, eta) cell goes through the same operations as a one-point call.
     """
-    n_streams = a.shape[1]
+    n_streams = a.shape[-1]
+    a = a[:, None]  # (S, 1, N, Ns) against the (S, B) grid of cells
+    scale = (rhos / n_streams)[:, None, None]
     etas = etas[:, None]
-    row_power = np.einsum("ij,ij->i", a, a.conj()).real
-    denom = 1.0 + etas * (rho / n_streams) * row_power
-    gain = ((1.0 - etas) * (rho / n_streams))[:, :, None]
-    m = np.eye(n_streams) + gain * (a.conj().T @ (a / denom[:, :, None]))
+    denom = 1.0 + etas * scale * np.einsum("sbij,sbij->sbi", a, a.conj()).real
+    gain = ((1.0 - etas) * scale)[..., None]
+    m = np.eye(n_streams) + gain * (a.conj().swapaxes(-1, -2) @ (a / denom[..., None]))
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:  # cannot happen for eta in [0,1); guard anyway
         raise ValueError("log-det argument is not positive definite") from exc
-    return 2.0 * np.sum(np.log2(np.abs(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
+    return 2.0 * np.sum(np.log2(np.abs(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
 def _onebit_bound(sigma1: float, rhos, n_rf_rx: int):
@@ -401,25 +405,21 @@ class ChannelRates:
 
     @cached_property
     def aqnm(self) -> np.ndarray:
-        """(S, B) AQNM rates of SVD precoding; NaN if G has too low a rank for it."""
-        out = self.nans(len(self.grid.bits))
-        rhos = self.grid.rhos.tolist()
+        """(S, B) AQNM rates of SVD precoding, one precoder per SNR and one
+        :func:`_aqnm_rates` call; NaN if G has too low a rank for it."""
+        rhos = self.grid.rhos
         try:
-            f_bbs = [self.precoder(self.g, rho, self.n_streams) for rho in rhos]
-        except RankDeficientChannelError:
-            return out  # the rank test does not depend on rho: no SVD rate at any SNR
-        for s, (rho, f_bb) in enumerate(zip(rhos, f_bbs)):
-            out[s] = _aqnm_rates(self.g.entries @ f_bb.f_bb, rho, self.grid.etas)
-        return out
+            f_bbs = [self.precoder(self.g, rho, self.n_streams).f_bb for rho in rhos.tolist()]
+        except RankDeficientChannelError:  # not rho-dependent: no SVD rate at any SNR
+            return self.nans(len(self.grid.bits))
+        return _aqnm_rates(self.g.entries @ np.stack(f_bbs), rhos, self.grid.etas)
 
 
 def _ci_fano_kernel(x: ChannelRates) -> np.ndarray:
     if not x.ci_feasible:
         return x.nans(len(x.grid.bits))
-    return np.stack(
-        [_fano_rate(b, _pam_error_probability(b, x.snr_ci), x.n_streams) for b in x.grid.bits],
-        axis=1,
-    )
+    bits = np.array(x.grid.bits)
+    return _fano_rate(bits, _pam_error_probability(bits, x.snr_ci[:, None]), x.n_streams)
 
 
 def _ci_onebit_kernel(x: ChannelRates) -> np.ndarray:

@@ -15,12 +15,15 @@ import pytest
 from quantlink import (
     ConfigError,
     ExperimentConfig,
+    PowerModelParams,
     RateQuery,
+    adc_power,
     lloyd_max,
     pam_error_probability,
     rate_ci_exact,
     rate_ci_exact_grid,
     rate_ci_fano,
+    total_power,
     ub_infinite,
     ub_onebit_tight,
     waterfill,
@@ -99,3 +102,31 @@ def test_pam_error_probability_rejects_nan():
 def test_waterfill_rejects_nan_and_nonpositive_gains(gains):
     with pytest.raises(ValueError, match="^gains must be positive$"):
         waterfill(gains, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: adc_power(PowerModelParams(), 2.5), "^bits must be at least 1$"),
+        (lambda: adc_power(PowerModelParams(), True), "^bits must be at least 1$"),
+        (lambda: total_power(PowerModelParams(), 8, 2.5, 3), "^need 0 <= n_rf_rx <= n_rx"),
+        (lambda: total_power(PowerModelParams(), 8.5, 2, 3), "^need 0 <= n_rf_rx <= n_rx"),
+        (lambda: total_power(PowerModelParams(), 8, True, 3), "^need 0 <= n_rf_rx <= n_rx"),
+        (lambda: total_power(PowerModelParams(), 8, 2, 3.0), "^bits must be at least 1$"),
+    ],
+)
+def test_power_model_rejects_fractional_and_bool_counts(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_power_model_takes_numpy_integers_and_no_receive_chains():
+    params = PowerModelParams()
+    assert total_power(params, np.int64(8), np.int32(2), np.int8(4)) == total_power(params, 8, 2, 4)
+    assert total_power(params, 8, 0, 4) == 360.0
+
+
+@pytest.mark.parametrize("bits", [9, 1.5, True, np.float64(3.0)])
+def test_rate_query_rejects_a_bad_bit_depth_where_it_is_given(bits):
+    with pytest.raises(ValueError, match=r"^bits must be an integer in \[1, 8\]"):
+        RateQuery(1.0, 2, bits, "ci_exact")

@@ -1,12 +1,11 @@
 """The exact-rate table pool: ``threads`` overlaps the tables with alternating projection.
 
 ``run_experiment`` streams the alternating-projection (AP) pairs as they
-finish and queues one ``rate_ci_exact_grid`` call per bit depth of each
-CI-feasible pair.  ``min(threads, CPUs) - 1`` worker threads run the queue
-while AP goes on; the calling thread runs what is left.  These tests pin that
-the CSV bytes never depend on the thread count, that the pool really runs
-calls beside AP, that it starts no thread it does not need, and that every
-failure leaves no thread behind.
+finish and queues one table job per analog design.  ``min(threads, CPUs) - 1``
+worker threads run the queue while AP goes on; the calling thread runs what
+is left.  These tests pin that the CSV bytes never depend on the thread
+count, that the pool really runs calls beside AP, that it starts no thread it
+does not need, and that every failure leaves no thread behind.
 """
 
 import os
