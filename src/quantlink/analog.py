@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _entries
+from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _is_integer
 
 __all__ = [
     "DegenerateIterateError",
@@ -144,15 +144,13 @@ def _projection_stream(
     for i, m in enumerate(entries):
         if m.shape != entries[0].shape:
             raise ValueError(f"hs[{i}] has shape {m.shape}, but hs[0] has shape {entries[0].shape}")
-    if not 1 <= n_rf_tx <= n_tx:
+    if not (_is_integer(n_rf_tx) and 1 <= n_rf_tx <= n_tx):
         raise ValueError(f"n_rf_tx must be in [1, {n_tx}], got {n_rf_tx}")
     for n_rf_rx in n_rf_rxs:
-        if not 1 <= n_rf_rx <= n_rx:
+        if not (_is_integer(n_rf_rx) and 1 <= n_rf_rx <= n_rx):
             raise ValueError(f"n_rf_rx must be in [1, {n_rx}], got {n_rf_rx}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_positive(epsilon, "epsilon")
+    _check_count(max_iter, "max_iter")
 
     # Start from each channel's singular vectors, one SVD at a time, keeping
     # only the columns the iterates start from rather than every full V.
@@ -234,7 +232,8 @@ def alternating_projection(
     semi-unitary set (polar factor).  The loop exits when both normalized
     distances ||semi_unitary - fixed_modulus||_F / sqrt(n_rf) drop below
     ``epsilon``, or after ``max_iter`` iterations (the last iterate is then
-    returned with ``converged=False``).
+    returned with ``converged=False``).  The chain counts and ``max_iter``
+    are integers of at least 1, and ``epsilon`` is positive and finite.
 
     The returned matrices are the fixed-modulus iterates, which the hardware
     can realize exactly; the residuals quantify how far they are from

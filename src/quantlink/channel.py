@@ -24,7 +24,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClusteredChannelConfig:
-    """Geometry and RNG settings for one clustered-channel realization."""
+    """Geometry and RNG settings for one clustered-channel realization.
+
+    The antenna, cluster and ray counts are integers of at least 1, the
+    angle spread is positive and finite, and the seed fits in 64 bits.
+    """
 
     n_tx_antennas: int
     n_rx_antennas: int
@@ -38,10 +42,7 @@ class ClusteredChannelConfig:
             value = getattr(self, name)
             if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not self.angle_spread_deg > 0:
-            raise ValueError(f"angle_spread_deg must be > 0, got {self.angle_spread_deg!r}")
-        if not np.isfinite(self.angle_spread_deg):
-            raise ValueError("angle_spread_deg must be finite")
+        _check_positive(self.angle_spread_deg, "angle_spread_deg")
         if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
             raise ValueError(
                 f"seed must be an integer that fits in an unsigned 64-bit integer, got {self.seed!r}"
@@ -51,6 +52,30 @@ class ClusteredChannelConfig:
 def _is_integer(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(n, name: str) -> None:
+    """A count: an integer (see :func:`_is_integer`) of at least 1."""
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _check_positive(value, name: str) -> None:
+    """A positive finite real, or an ``np.ndarray`` of them.
+
+    Raises ``ValueError("{name} must be positive")`` first, NaN included,
+    then ``"{name} must be finite"``.  A scalar takes two plain comparisons,
+    not an array call, which costs far more: ``energy_efficiency`` checks
+    once per CSV record.
+    """
+    if isinstance(value, np.ndarray):
+        positive, finite = (value > 0).all(), (value < np.inf).all()
+    else:
+        positive, finite = value > 0, value < np.inf
+    if not positive:
+        raise ValueError(f"{name} must be positive")
+    if not finite:
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(eq=False)

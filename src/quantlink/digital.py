@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _entries, _matrix
+from .channel import _check_positive, _entries, _is_integer, _matrix
 
 __all__ = [
     "RankDeficientChannelError",
@@ -98,10 +98,10 @@ def channel_inversion_precoder(g) -> DigitalPrecoder:
 def snr_ci(g, rho):
     """Per-sub-channel SNR of channel-inversion transmission, rho / tr{(G G^*)^{-1}}.
 
-    ``rho`` may be a float or an array of SNRs; the trace is computed once.
+    ``rho`` may be a float or an array of SNRs, each positive and finite;
+    the trace is computed once.
     """
-    if not np.all(np.asarray(rho) > 0):
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     g = _matrix(g)
     _check_invertible(g.singular_values, g.entries.shape[0])
     gram = g.entries @ g.entries.conj().T
@@ -111,17 +111,16 @@ def snr_ci(g, rho):
 def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
     """Waterfilling powers p_i = max(0, mu - 1/g_i) summing to ``total_power``.
 
-    Solved in closed form by sorting the gains (ties keep their input order)
-    and picking the largest active set with a feasible water level, so no
-    iteration tolerance is involved.
+    The gains and the budget must be positive and finite.  Solved in closed
+    form by sorting the gains (ties keep their input order) and picking the
+    largest active set with a feasible water level, so no iteration
+    tolerance is involved.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise ValueError("gains must be nonempty")
-    if not np.all(gains > 0):
-        raise ValueError("gains must be positive")
-    if not total_power > 0:
-        raise ValueError("total_power must be positive")
+    _check_positive(gains, "gains")
+    _check_positive(total_power, "total_power")
     order = np.argsort(-gains, kind="stable")
     inv = 1.0 / gains[order]
     k = gains.size
@@ -149,12 +148,12 @@ def svd_precoder(g, rho: float, n_streams: int) -> DigitalPrecoder:
 
     Streams ride the top ``n_streams`` right singular vectors of G; powers
     come from waterfilling the unquantized per-stream gains rho*nu_i^2/Ns
-    with total budget Ns, so ||F_BB||_F^2 <= Ns.
+    with total budget Ns, so ||F_BB||_F^2 <= Ns.  ``rho`` must be positive
+    and finite, and ``n_streams`` an integer from 1 to G's smaller dimension.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     entries = _entries(g)
-    if not 1 <= n_streams <= min(entries.shape):
+    if not (_is_integer(n_streams) and 1 <= n_streams <= min(entries.shape)):
         raise ValueError(f"n_streams must be in [1, {min(entries.shape)}], got {n_streams}")
     _, nu, vh = np.linalg.svd(entries, full_matrices=False)
     if nu[n_streams - 1] <= nu[0] * 1e-12:

@@ -30,7 +30,7 @@ from .analog import (
     alternating_projections,
     effective_channel,
 )
-from .channel import ClusteredChannelConfig, _is_integer, generate_channel
+from .channel import ClusteredChannelConfig, _check_count, _is_integer, generate_channel
 from .digital import ci_feasible, svd_precoder
 from .power import PowerModelParams, energy_efficiency, total_power
 from .quantizers import MAX_BITS, lloyd_max
@@ -374,7 +374,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
     width's receiver power is computed once per bit depth.
 
-    ``threads`` must be at least 1.  With ``threads > 1`` a pool of
+    ``threads`` must be an integer of at least 1.  With ``threads > 1`` a pool of
     ``min(threads, CPUs) - 1`` worker threads computes the exact
     channel-inversion tables, one table job per analog design, while the
     calling thread goes on with AP; the calling thread then runs the
@@ -384,8 +384,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     comes from the same calls on the same inputs, so the records are
     bit-identical for any thread count.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    _check_count(threads, "threads")
     grid = _grid(config)
     states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid, threads)
     depths = {b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b}

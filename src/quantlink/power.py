@@ -9,10 +9,9 @@ conversions centralized in :func:`energy_efficiency`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .channel import _is_integer
+from .channel import _check_count, _check_positive, _is_integer
 
 __all__ = [
     "PowerModelParams",
@@ -25,7 +24,7 @@ __all__ = [
 @dataclass(frozen=True)
 class PowerModelParams:
     """Component powers (mW), ADC figure of merit (fJ/conversion-step),
-    sampling rate and bandwidth (Hz)."""
+    sampling rate and bandwidth (Hz); each must be positive and finite."""
 
     p_lna_mw: float = 20.0
     p_ps_mw: float = 10.0
@@ -37,17 +36,12 @@ class PowerModelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"{f.name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+            _check_positive(getattr(self, f.name), f.name)
 
 
 def adc_power(params: PowerModelParams, bits: int) -> float:
-    """Single ADC power in mW: FOM_W * f_s * 2^bits."""
-    if not _is_integer(bits) or bits < 1:
-        raise ValueError("bits must be at least 1")
+    """Single ADC power in mW: FOM_W * f_s * 2^bits, for an integer ``bits`` >= 1."""
+    _check_count(bits, "bits")
     # fJ * Hz = 1e-15 W; scale to mW
     return params.fom_w_fj * 1e-15 * params.f_s_hz * 2.0**bits * 1e3
 
@@ -74,9 +68,11 @@ def total_power(
 
 
 def energy_efficiency(rate_bpshz: float, bandwidth_hz: float, p_tot_mw: float) -> float:
-    """Delivered bits per Joule: rate * bandwidth / total power (mW converted to W)."""
-    if not p_tot_mw > 0:
-        raise ValueError("p_tot_mw must be positive")
+    """Delivered bits per Joule: rate * bandwidth / total power (mW converted to W).
+
+    The rate must be nonnegative, the bandwidth and the power positive and finite."""
+    _check_positive(p_tot_mw, "p_tot_mw")
     if rate_bpshz < 0:
         raise ValueError("rate must be nonnegative")
+    _check_positive(bandwidth_hz, "bandwidth_hz")
     return rate_bpshz * bandwidth_hz / (p_tot_mw * 1e-3)

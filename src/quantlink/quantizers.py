@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .channel import _is_integer
+from .channel import _check_positive, _is_integer
 
 __all__ = [
     "MAX_BITS",
@@ -62,10 +62,7 @@ def _check_snr_grid(snr) -> np.ndarray:
     snr = np.asarray(snr, dtype=float)
     if snr.ndim != 1:
         raise ValueError("snr must be a one-dimensional array")
-    if not np.all(snr > 0):
-        raise ValueError("snr must be positive")
-    if not np.all(snr < np.inf):
-        raise ValueError("snr must be finite")
+    _check_positive(snr, "snr")
     return snr
 
 
@@ -139,13 +136,10 @@ def matched_stepsize(bits: int, snr: float) -> float:
     """Step size over noise std for equiprobable 2^b-PAM at the given sub-channel SNR.
 
     Follows from the mean power of the +-delta/2, +-3*delta/2, ... grid:
-    delta/xi = sqrt(12 snr / (2^(2b) - 1)).
+    delta/xi = sqrt(12 snr / (2^(2b) - 1)); ``snr`` must be positive and finite.
     """
     bits = _check_bits(bits)
-    if not snr > 0:
-        raise ValueError("snr must be positive")
-    if not snr < np.inf:
-        raise ValueError("snr must be finite")
+    _check_positive(snr, "snr")
     return float(np.sqrt(12.0 * snr / (4.0**bits - 1.0)))
 
 

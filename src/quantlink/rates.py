@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelMatrix, _entries, _is_integer, _matrix, _spectrum
+from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _matrix, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.
@@ -84,17 +84,9 @@ class RateQuery:
             raise ValueError(f"unknown rate method {self.method!r}")
 
 
-def _check_count(n: int, name: str = "n_streams") -> None:
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
 def _check_link(rho: float, n: int, name: str = "n_streams") -> None:
     """A positive finite SNR and at least one stream (or receive chain)."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if not rho < math.inf:
-        raise ValueError("rho must be finite")
+    _check_positive(rho, "rho")
     _check_count(n, name)
 
 
@@ -146,14 +138,15 @@ def discrete_mi(prior, transition) -> float:
     matrix (or :class:`TransitionMatrix`) of conditional output probabilities.
     This is the public reference oracle: :func:`rate_ci_exact_grid` performs
     the same operations over a batch of matrices and must match it bit for bit.
+    A NaN in either argument fails its check.
     """
     prior = np.asarray(prior, dtype=float)
     t = transition.entries if isinstance(transition, TransitionMatrix) else np.asarray(transition, dtype=float)
     if t.ndim != 2 or prior.shape != (t.shape[0],):
         raise ValueError(f"prior of length {prior.shape} does not match transition {t.shape}")
-    if abs(prior.sum() - 1.0) > 1e-9 or np.any(prior < 0):
+    if not (abs(prior.sum() - 1.0) <= 1e-9 and np.all(prior >= 0)):
         raise ValueError("prior must be a probability vector")
-    if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-9 or np.any(t < 0):
+    if not (np.max(np.abs(t.sum(axis=1) - 1.0)) <= 1e-9 and np.all(t >= 0)):
         raise ValueError("transition matrix must be row stochastic")
     marginal = prior @ t
     joint = prior[:, None] * t
@@ -219,7 +212,7 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
     """
     bits = _check_bits(bits)
     snr_ci = _check_snr_grid(snr_ci)
-    _check_count(n_streams)
+    _check_count(n_streams, "n_streams")
     if bits == 1:
         # same quantity; the closed form avoids needless matrix assembly
         return _onebit_rate_from_snr(snr_ci, n_streams)
@@ -256,7 +249,7 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
 
 def rate_ci_fano(bits: int, snr_ci: float, n_streams: int) -> RateResult:
     """Fano lower bound 2 Ns (b - Hb(Pe) - Pe log2(2^b - 1)) on the exact rate."""
-    _check_count(n_streams)
+    _check_count(n_streams, "n_streams")
     return RateResult(_fano_rate(bits, pam_error_probability(bits, snr_ci), n_streams), "ci_fano")
 
 
@@ -280,12 +273,11 @@ def rate_aqnm(g, f_bb, rho: float, eta) -> RateResult:
     log2 | I + (1-eta) (rho/Ns) F* G* (I + eta diag{(rho/Ns) G F F* G*})^{-1} G F |,
     evaluated through a Cholesky factorization of the positive-definite
     argument.  ``eta`` may be a :class:`DistortionFactor` or a bare float
-    (eta = 0 recovers the unquantized log-det rate).  A one-point call of
-    :func:`_aqnm_rates`.
+    (eta = 0 recovers the unquantized log-det rate); ``rho`` must be positive
+    and finite.  A one-point call of :func:`_aqnm_rates`.
     """
     eta = _eta_value(eta)
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     g_mat = _entries(g)
     f_mat = np.asarray(getattr(f_bb, "f_bb", f_bb), dtype=complex)
     if f_mat.shape[0] != g_mat.shape[1]:
