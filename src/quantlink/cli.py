@@ -4,14 +4,11 @@
     quantlink validate --config sim.cfg
     quantlink tables --quantizers
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
-The QUANTLINK_THREADS environment variable sets the default thread count;
-the --threads flag overrides it.  With more than one thread, each analog
-design queues one exact-rate table job; min(threads, CPUs) - 1 workers run
-them during alternating projection, and the calling thread runs the rest
-from the back.  The kernel releases the GIL, so the projection left on the
-calling thread bounds the gain.  The CSV bytes never depend on the thread
-count (see run_experiment).
+Exit codes: 0 on success, 1 on configuration errors (a --seed or --threads
+that is not an integer included), 2 on runtime errors.  The QUANTLINK_THREADS
+environment variable sets the default thread count; the --threads flag
+overrides it.  How threads are used is stated in ``harness._realize_all``;
+the CSV bytes never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -37,12 +34,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment and write a CSV")
     run.add_argument("--config", required=True, help="path to the experiment config file")
     run.add_argument("--out", help="output CSV path (overrides output_path in the config)")
-    run.add_argument("--seed", type=int, help="master seed override")
+    run.add_argument("--seed", help="master seed override (an integer)")
     run.add_argument(
         "--threads",
-        type=int,
-        help="threads for the exact-rate tables, computed beside alternating "
-        "projection (at most the CPU count); the output does not depend on it",
+        help="threads for the exact-rate tables (see the README's Command line "
+        "section); the output does not depend on it",
     )
 
     val = sub.add_parser("validate", help="check a config file and exit")
@@ -57,14 +53,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(raw: str, name: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _default_threads() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+    value = _integer(raw, THREADS_ENV_VAR)
     if value < 1:
         raise ConfigError(f"{THREADS_ENV_VAR} must be at least 1, got {value}")
     return value
@@ -74,10 +74,10 @@ def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, master_seed=args.seed)
+            config = dataclasses.replace(config, master_seed=_integer(args.seed, "--seed"))
         if args.out is not None:
             config = dataclasses.replace(config, output_path=args.out)
-        threads = args.threads if args.threads is not None else _default_threads()
+        threads = _default_threads() if args.threads is None else _integer(args.threads, "--threads")
         if threads < 1:
             raise ConfigError("--threads must be at least 1")
     except (ConfigError, OSError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -298,14 +298,17 @@ def _realize_all(
     """Channel states of every realization for each receive-chain count in ``widths``.
 
     Each channel is drawn once, and one alternating-projection batch designs
-    the analog precoders of all widths for all realizations.  If a method
-    reads the exact channel-inversion tables, each analog design queues one
-    table job, ``ChannelRates._ci_exact_table``, as soon as AP finishes it.
-    AP keeps this thread busy, so ``threads - 1`` worker threads (at most one
-    fewer than the CPUs) take the queued jobs from the front meanwhile.
-    After AP this thread runs the unstarted jobs from the back, and each
-    table is stored as its state's ``ci_exact``.  Every table comes from the
-    same calls on the same inputs, so the states do not depend on ``threads``.
+    the analog precoders of all widths for all realizations.  The thread
+    policy of a sweep: if a method reads the exact channel-inversion tables,
+    ``min(threads, CPUs) - 1`` worker threads (if any) take table jobs,
+    ``ChannelRates._ci_exact_table``, from the front of a queue that each
+    analog design joins as soon as AP finishes it; after AP this thread runs
+    the unstarted jobs from the back and stores each table as its state's
+    ``ci_exact``.  Without workers no thread starts and nothing is queued:
+    each table is computed once, when a kernel first reads ``ci_exact``.
+    The kernel's array calls release the GIL, so the AP left on this thread
+    bounds the gain.  Every table comes from the same calls on the same
+    inputs, so the states do not depend on ``threads``.
     """
     if not widths:
         return {}
@@ -320,11 +323,10 @@ def _realize_all(
     try:
         for n, i, pair in _pair_stream(hs, config.n_rf_tx, widths):
             state = states[n][i] = _state(hs[i], pair, n, grid)
-            if exact:
+            if pool is not None:
                 # a worker runs the job in a copy of this thread's context,
-                # numpy's error state included; without a pool it never starts
-                job = pool.submit(copy_context().run, state._ci_exact_table) if pool else Future()
-                tables.append((state, job))
+                # numpy's error state included
+                tables.append((state, pool.submit(copy_context().run, state._ci_exact_table)))
         # Workers take jobs from the front of the queue, so the started ones
         # are a prefix: once a job cannot be cancelled, every job before it
         # has started too, and waiting on it costs nothing.
@@ -374,15 +376,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
     width's receiver power is computed once per bit depth.
 
-    ``threads`` must be an integer of at least 1.  With ``threads > 1`` a pool of
-    ``min(threads, CPUs) - 1`` worker threads computes the exact
-    channel-inversion tables, one table job per analog design, while the
-    calling thread goes on with AP; the calling thread then runs the
-    unstarted jobs from the back (see ``_realize_all``).  With one thread no
-    thread is started.  The exact-rate kernel's array calls release the GIL,
-    so the gain is bounded by the AP left on the calling thread.  Each table
-    comes from the same calls on the same inputs, so the records are
-    bit-identical for any thread count.
+    ``threads`` must be an integer of at least 1.  It sizes the pool that
+    computes the exact channel-inversion tables beside AP (the policy is
+    stated in ``_realize_all``); the records are bit-identical for any count.
     """
     _check_count(threads, "threads")
     grid = _grid(config)

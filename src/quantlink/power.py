@@ -9,6 +9,7 @@ conversions centralized in :func:`energy_efficiency`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .channel import _check_count, _check_positive, _is_integer
@@ -70,9 +71,12 @@ def total_power(
 def energy_efficiency(rate_bpshz: float, bandwidth_hz: float, p_tot_mw: float) -> float:
     """Delivered bits per Joule: rate * bandwidth / total power (mW converted to W).
 
-    The rate must be nonnegative, the bandwidth and the power positive and finite."""
+    The rate must be nonnegative and finite, the bandwidth and the power positive
+    and finite."""
     _check_positive(p_tot_mw, "p_tot_mw")
     if rate_bpshz < 0:
         raise ValueError("rate must be nonnegative")
+    if not rate_bpshz < math.inf:  # NaN included
+        raise ValueError(f"rate must be a finite number, got {rate_bpshz!r}")
     _check_positive(bandwidth_hz, "bandwidth_hz")
     return rate_bpshz * bandwidth_hz / (p_tot_mw * 1e-3)

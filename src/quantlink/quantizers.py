@@ -38,8 +38,8 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def gauss_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    """Standard normal CDF, Q(-x)."""
+    return qfunc(-np.asarray(x, dtype=float))
 
 
 def qfunc(x):
@@ -140,16 +140,25 @@ def matched_stepsize(bits: int, snr: float) -> float:
     """
     bits = _check_bits(bits)
     _check_positive(snr, "snr")
-    return float(np.sqrt(12.0 * snr / (4.0**bits - 1.0)))
+    return float(_step(bits, snr))
+
+
+def _step(bits, snr):
+    """:func:`matched_stepsize` element-wise over ``bits`` and ``snr``, unchecked."""
+    return np.sqrt(12.0 * snr / (4.0**bits - 1.0))
+
+
+def _pam_grid(bits: int, step):
+    """Thresholds and levels of matched 2^b-PAM at ``step``, a scalar or an (S, 1) column."""
+    m = 2**bits
+    thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
+    levels = (np.arange(m) - (m - 1) / 2.0) * step
+    return thresholds, levels
 
 
 def uniform_pam_quantizer(bits: int, snr: float) -> QuantizerSpec:
     """Uniform mid-rise quantizer matched to 2^b-PAM at the given SNR (xi = 1)."""
-    step = matched_stepsize(bits, snr)
-    m = 2**bits
-    levels = (np.arange(m) - (m - 1) / 2.0) * step
-    thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
-    return QuantizerSpec(bits, thresholds, levels)
+    return QuantizerSpec(bits, *_pam_grid(bits, matched_stepsize(bits, snr)))
 
 
 def build_transition_matrix(bits: int, snr: float) -> TransitionMatrix:
@@ -204,13 +213,11 @@ def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray) -> No
     probabilities are the differences of the CDF row padded with 0 and 1, as
     ``np.diff`` forms them in :func:`build_transition_matrix`.
     """
-    step = np.sqrt(12.0 * snr / (4.0**bits - 1.0))[:, None]
+    thresholds, levels = _pam_grid(bits, _step(bits, snr)[:, None])
     m = 2**bits
     half = m // 2
-    levels = (np.arange(m) - (m - 1) / 2.0) * step
-    thresholds = (np.arange(m - 1) - (m - 2) / 2.0) * step
     cdf = out[:, half:, : m - 1]
-    # gauss_cdf(t - l) = 0.5 * erfc(-(t - l) / sqrt 2), and l - t is -(t - l) exactly
+    # gauss_cdf(t - l) = qfunc(l - t) = 0.5 erfc((l - t) / sqrt 2); l - t is -(t - l) exactly
     np.subtract(levels[:, :half, None], thresholds[:, None, :], out=cdf)
     np.divide(cdf, _SQRT2, out=cdf)
     erfc(cdf, out=cdf)
@@ -347,8 +354,8 @@ def high_resolution_distortion(bits: int) -> float:
 def pam_error_probability(bits: int, snr: float) -> float:
     """Symbol error probability of 2^b-PAM with matched uniform quantization.
 
-    P_e = 2 (1 - 2^-b) Q(sqrt(3 snr / (2^(2b) - 1))); for one bit this is
-    Q(sqrt(snr)).
+    P_e = 2 (1 - 2^-b) Q(delta / 2), delta the :func:`matched_stepsize`;
+    for one bit this is Q(sqrt(snr)).
     """
     bits = _check_bits(bits)
     if not snr >= 0:
@@ -358,4 +365,4 @@ def pam_error_probability(bits: int, snr: float) -> float:
 
 def _pam_error_probability(bits: int, snr):
     """:func:`pam_error_probability` element-wise over an SNR array, unchecked."""
-    return 2.0 * (1.0 - 2.0**-bits) * qfunc(np.sqrt(3.0 * snr / (4.0**bits - 1.0)))
+    return 2.0 * (1.0 - 2.0**-bits) * qfunc(_step(bits, snr) / 2.0)

@@ -183,9 +183,7 @@ def rate_ci_onebit_lb(g, rho: float, n_streams: int) -> RateResult:
     g = _matrix(g)
     _check_link(rho, n_streams)
     _check_stream_count(g, n_streams)
-    nu = g.singular_values
-    snr_floor = rho * nu[n_streams - 1] ** 2 / n_streams
-    return RateResult(_onebit_rate_from_snr(snr_floor, n_streams), "ci_onebit")
+    return RateResult(_onebit_bound(g.singular_values[n_streams - 1], rho, n_streams), "ci_onebit")
 
 
 def rate_ci_exact(bits: int, snr_ci: float, n_streams: int) -> RateResult:
@@ -306,8 +304,8 @@ def _aqnm_rates(a: np.ndarray, rhos: np.ndarray, etas: np.ndarray) -> np.ndarray
     return 2.0 * np.sum(np.log2(np.abs(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
-def _onebit_bound(sigma1: float, rhos, n_rf_rx: int):
-    return _onebit_rate_from_snr(rhos * sigma1**2 / n_rf_rx, n_rf_rx)
+def _onebit_bound(nu: float, rhos, n: int):
+    return _onebit_rate_from_snr(rhos * nu**2 / n, n)
 
 
 def _infinite_bound(nu1: float, rhos, n_rf_rx: int):
@@ -353,8 +351,8 @@ class RateGrid:
 class ChannelRates:
     """One channel realization over a :class:`RateGrid`: what the method kernels read.
 
-    ``g`` is the effective channel, ``h`` the full channel (or None) and
-    ``ci_feasible`` whether channel inversion can drive ``n_streams`` streams.
+    ``g`` is the effective channel, with one row per stream, ``h`` the full channel
+    (or None) and ``ci_feasible`` whether channel inversion can drive ``n_streams`` streams.
     The tables several methods share are computed on first use.  A sweep
     passes the ``ci_exact_grid`` and ``precoder`` functions it resolves
     itself, so it can trace or replace them.
@@ -367,10 +365,6 @@ class ChannelRates:
     grid: RateGrid
     ci_exact_grid: Callable = rate_ci_exact_grid
     precoder: Callable = svd_precoder
-
-    @property
-    def n_rf_rx(self) -> int:
-        return self.g.entries.shape[0]
 
     def nans(self, columns: int) -> np.ndarray:
         return np.full((len(self.grid.rhos), columns), math.nan)
@@ -430,7 +424,7 @@ def _hybrid_kernel(x: ChannelRates) -> np.ndarray:
 def _ub_onebit_loose_kernel(x: ChannelRates) -> np.ndarray:
     if x.h is None:
         raise ValueError("ub_onebit_loose needs the full channel matrix")
-    return _onebit_bound(x.h.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
+    return _onebit_bound(x.h.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
 
 
 @dataclass(frozen=True)
@@ -461,11 +455,11 @@ METHODS: dict[str, RateMethod] = {
     "ci_onebit": RateMethod("onebit", _ci_onebit_kernel),
     "aqnm_svd": RateMethod("bits", lambda x: x.aqnm),
     "ub_onebit_tight": RateMethod(
-        "onebit", lambda x: _onebit_bound(x.g.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
+        "onebit", lambda x: _onebit_bound(x.g.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
     ),
     "ub_onebit_loose": RateMethod("onebit", _ub_onebit_loose_kernel),
     "ub_infinite": RateMethod(
-        "unquantized", lambda x: _infinite_bound(x.g.singular_values[0], x.grid.rhos, x.n_rf_rx)[:, None]
+        "unquantized", lambda x: _infinite_bound(x.g.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
     ),
     # a composite: per realization, the larger of the channel-inversion and
     # SVD rates at the same resolution
