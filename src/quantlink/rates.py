@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+# _spectrum is not called here; rates re-exports channel's helper, not a copy.
 from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _matrix, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
@@ -33,7 +34,6 @@ from .quantizers import (
     _pam_error_probability,
     build_transition_matrix,
     lloyd_max,
-    pam_error_probability,
     qfunc,
 )
 
@@ -166,11 +166,10 @@ def rate_ci_onebit(g, rho: float, n_streams: int) -> RateResult:
     """Exact rate of channel-inversion transmission with one-bit ADCs.
 
     Each of the 2*Ns real sub-channels carries antipodal signaling, giving
-    2 Ns (1 - Hb(Q(sqrt(SNR_CI)))).  ``n_streams`` must be G's row count.
+    2 Ns (1 - Hb(Q(sqrt(SNR_CI)))).  A one-point call of the ``ci_onebit``
+    kernel through :func:`evaluate`, so ``n_streams`` must be G's row count.
     """
-    g = _matrix(g)
-    _check_stream_count(g, n_streams)
-    return RateResult(_onebit_rate_from_snr(snr_ci(g, rho), n_streams), "ci_onebit")
+    return evaluate(RateQuery(rho, n_streams, 1, "ci_onebit"), g)
 
 
 def rate_ci_onebit_lb(g, rho: float, n_streams: int) -> RateResult:
@@ -246,9 +245,14 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
 
 
 def rate_ci_fano(bits: int, snr_ci: float, n_streams: int) -> RateResult:
-    """Fano lower bound 2 Ns (b - Hb(Pe) - Pe log2(2^b - 1)) on the exact rate."""
+    """Fano lower bound 2 Ns (b - Hb(Pe) - Pe log2(2^b - 1)) on the exact rate.
+
+    Checked as :func:`rate_ci_exact_grid` is; computed by the ``ci_fano`` kernel's helpers.
+    """
+    bits = _check_bits(bits)
+    snr = _check_snr_grid([snr_ci])
     _check_count(n_streams, "n_streams")
-    return RateResult(_fano_rate(bits, pam_error_probability(bits, snr_ci), n_streams), "ci_fano")
+    return RateResult(_fano_rate(bits, _pam_error_probability(bits, snr), n_streams)[0], "ci_fano")
 
 
 def _fano_rate(bits: int, pe, n_streams: int):
@@ -316,22 +320,34 @@ def ub_onebit_tight(g, rho: float, n_rf_rx: int) -> RateResult:
     """One-bit capacity upper bound 2 N (1 - Hb(Q(sqrt(rho nu_1^2 / N)))).
 
     Saturates at 2 N bps/Hz and is met with equality when G G^* is a scaled
-    identity; at low SNR it grows like (2/pi) rho nu_1^2 / ln 2.
+    identity; at low SNR it grows like (2/pi) rho nu_1^2 / ln 2.  A one-point
+    call of its kernel through :func:`evaluate`, so ``n_rf_rx`` must be G's
+    row count.
     """
     _check_link(rho, n_rf_rx, "n_rf_rx")
-    return RateResult(_onebit_bound(_spectrum(g)[0], rho, n_rf_rx), "ub_onebit_tight")
+    return evaluate(RateQuery(rho, n_rf_rx, 1, "ub_onebit_tight"), g)
 
 
 def ub_onebit_loose(h, rho: float, n_rf_rx: int) -> RateResult:
-    """Precoder-independent one-bit upper bound using the channel's own top singular value."""
+    """Precoder-independent one-bit upper bound using the channel's own top singular value.
+
+    ``n_rf_rx`` may not exceed H's row count, the receive-antenna count.
+    """
     _check_link(rho, n_rf_rx, "n_rf_rx")
-    return RateResult(_onebit_bound(_spectrum(h)[0], rho, n_rf_rx), "ub_onebit_loose")
+    h = _matrix(h)
+    n_rx = h.entries.shape[0]
+    if n_rf_rx > n_rx:
+        raise ValueError(f"n_rf_rx ({n_rf_rx}) cannot exceed the channel's receive-antenna count ({n_rx})")
+    return RateResult(_onebit_bound(h.singular_values[0], rho, n_rf_rx), "ub_onebit_loose")
 
 
 def ub_infinite(g, rho: float, n_rf_rx: int) -> RateResult:
-    """Unquantized capacity bound N log2(1 + rho nu_1^2 / N); unbounded in rho."""
+    """Unquantized capacity bound N log2(1 + rho nu_1^2 / N); unbounded in rho.
+
+    A one-point call of its kernel through :func:`evaluate`; ``n_rf_rx`` must be G's row count.
+    """
     _check_link(rho, n_rf_rx, "n_rf_rx")
-    return RateResult(_infinite_bound(_spectrum(g)[0], rho, n_rf_rx), "ub_infinite")
+    return evaluate(RateQuery(rho, n_rf_rx, 1, "ub_infinite"), g)
 
 
 @dataclass(frozen=True, eq=False)
