@@ -11,6 +11,7 @@ parallelism.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
@@ -111,13 +112,17 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            if kind is int and not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-            if kind == tuple[int, ...] and not all(map(_is_integer, getattr(self, name))):
-                raise ConfigError(f"{name} entries must be integers")
-        for name in _LIST_AXES:
-            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
+        for f in fields(self):
+            name, kind, value = f.name, _FIELD_TYPES[f.name], getattr(self, f.name)
+            if name in _LIST_AXES:
+                kind = get_args(kind)[0]
+                if not isinstance(value, (list, tuple)) or not all(_is_a(kind, v) for v in value):
+                    raise ConfigError(f"{name} entries must be {_NOUNS[kind][1]}")
+                object.__setattr__(self, name, tuple(dict.fromkeys(map(kind, value))))
+            elif not _is_a(kind, value):
+                raise ConfigError(f"{name} must be {_NOUNS[kind][0]}")
+            elif name != "power":  # a str, int or float, stored as its Python type
+                object.__setattr__(self, name, kind(value))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         for name in ("n_tx", "n_rx", "n_rf_tx", "n_clusters", "n_rays"):
@@ -187,8 +192,16 @@ _CSV_ROW = ",".join(
 _csv_values = attrgetter(*(f.name for f in fields(ResultRecord)))
 
 
-# The noun a type mismatch names for each value type a key may declare.
-_NOUNS = {str: "a string", int: "an integer", float: "a number"}
+# The noun and plural a type mismatch names for each type a field may declare.
+_NOUNS = {str: ("a string", "strings"), int: ("an integer", "integers"), float: ("a number", "numbers"),
+          PowerModelParams: ("a PowerModelParams", "PowerModelParams")}
+
+
+def _is_a(kind, value) -> bool:
+    """Whether ``value`` has the declared type ``kind``; an int is one :func:`_is_integer` accepts."""
+    if kind is float:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return _is_integer(value) if kind is int else isinstance(value, kind)
 
 
 def _parse(kind, key, text):
@@ -196,7 +209,7 @@ def _parse(kind, key, text):
     comma-separated item as T."""
     if get_origin(kind) is tuple:
         return tuple(_parse(get_args(kind)[0], key, item.strip()) for item in text.split(","))
-    noun = _NOUNS[kind]
+    noun = _NOUNS[kind][0]
     try:
         return kind(text)
     except ValueError:
@@ -240,8 +253,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a UTF-8 config file; text that is not UTF-8 is a :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text)
 
 
 def realization_seed(master_seed: int, index: int) -> int:
@@ -338,29 +356,24 @@ def _realize_all(
     return states
 
 
-def _aggregate(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error over the realizations that produced a value."""
-    valid = samples[~np.isnan(samples)]
-    if valid.size == 0:
-        return math.nan, math.nan
-    mean = float(valid.mean())
-    stderr = float(valid.std(ddof=1) / np.sqrt(valid.size)) if valid.size > 1 else 0.0
-    return mean, stderr
-
-
 def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
-    """:func:`_aggregate` of every row of a C-ordered (cells, R) array.
+    """Mean and standard error of every row of a C-ordered (cells, R) array,
+    over the realizations that produced a value (NaN for a row with none).
 
     Rows without NaN are reduced along the contiguous realization axis at
-    once, which sums in the same pairwise order as the one-row reduction, so
-    the results are bit for bit those of :func:`_aggregate`; rows with a NaN
-    go through it.
+    once, which sums in the same pairwise order as reducing one row; a row
+    with a NaN reduces its valid entries alone.
     """
     n = samples.shape[1]
     means = samples.mean(axis=1)
     stderrs = samples.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(samples))
     for i in np.flatnonzero(np.isnan(samples).any(axis=1)):
-        means[i], stderrs[i] = _aggregate(samples[i])
+        valid = samples[i][~np.isnan(samples[i])]
+        if valid.size == 0:
+            means[i] = stderrs[i] = math.nan
+            continue
+        means[i] = valid.mean()
+        stderrs[i] = valid.std(ddof=1) / np.sqrt(valid.size) if valid.size > 1 else 0.0
     return means.tolist(), stderrs.tolist()
 
 
@@ -408,9 +421,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
                 records.append(
                     ResultRecord(
                         experiment=config.experiment,
-                        snr_db=float(snr_db),
-                        bits=int(bits),
-                        n_rf_rx=int(n_rf_rx),
+                        snr_db=snr_db,
+                        bits=bits,
+                        n_rf_rx=n_rf_rx,
                         method=method,
                         mean_rate_bpshz=mean,
                         rate_stderr=stderr,

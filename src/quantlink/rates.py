@@ -331,14 +331,14 @@ def ub_onebit_tight(g, rho: float, n_rf_rx: int) -> RateResult:
 def ub_onebit_loose(h, rho: float, n_rf_rx: int) -> RateResult:
     """Precoder-independent one-bit upper bound using the channel's own top singular value.
 
-    ``n_rf_rx`` may not exceed H's row count, the receive-antenna count.
+    A one-point call of its kernel, so ``n_rf_rx`` may not exceed H's row
+    count, the receive-antenna count.
     """
     _check_link(rho, n_rf_rx, "n_rf_rx")
     h = _matrix(h)
-    n_rx = h.entries.shape[0]
-    if n_rf_rx > n_rx:
-        raise ValueError(f"n_rf_rx ({n_rf_rx}) cannot exceed the channel's receive-antenna count ({n_rx})")
-    return RateResult(_onebit_bound(h.singular_values[0], rho, n_rf_rx), "ub_onebit_loose")
+    # the kernel reads only the full channel, the chain count and the SNR
+    state = ChannelRates(h, h, n_rf_rx, False, RateGrid(np.array([rho]), (1,), np.array([math.nan])))
+    return RateResult(float(_ub_onebit_loose_kernel(state)[0, 0]), "ub_onebit_loose")
 
 
 def ub_infinite(g, rho: float, n_rf_rx: int) -> RateResult:
@@ -440,6 +440,9 @@ def _hybrid_kernel(x: ChannelRates) -> np.ndarray:
 def _ub_onebit_loose_kernel(x: ChannelRates) -> np.ndarray:
     if x.h is None:
         raise ValueError("ub_onebit_loose needs the full channel matrix")
+    n_rx = x.h.entries.shape[0]
+    if x.n_streams > n_rx:
+        raise ValueError(f"n_rf_rx ({x.n_streams}) cannot exceed the channel's receive-antenna count ({n_rx})")
     return _onebit_bound(x.h.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
 
 
