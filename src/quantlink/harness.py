@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
@@ -118,11 +118,11 @@ class ExperimentConfig:
                 kind = get_args(kind)[0]
                 if not isinstance(value, (list, tuple)) or not all(_is_a(kind, v) for v in value):
                     raise ConfigError(f"{name} entries must be {_NOUNS[kind][1]}")
-                object.__setattr__(self, name, tuple(dict.fromkeys(map(kind, value))))
+                object.__setattr__(self, name, tuple(dict.fromkeys(_as(kind, v) for v in value)))
             elif not _is_a(kind, value):
                 raise ConfigError(f"{name} must be {_NOUNS[kind][0]}")
             elif name != "power":  # a str, int or float, stored as its Python type
-                object.__setattr__(self, name, kind(value))
+                object.__setattr__(self, name, _as(kind, value))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         for name in ("n_tx", "n_rx", "n_rf_tx", "n_clusters", "n_rays"):
@@ -202,6 +202,14 @@ def _is_a(kind, value) -> bool:
     if kind is float:
         return isinstance(value, numbers.Real) and not isinstance(value, bool)
     return _is_integer(value) if kind is int else isinstance(value, kind)
+
+
+def _as(kind, value):
+    """``value`` as ``kind``; an int beyond float range is ±inf, which the finite checks reject."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _parse(kind, key, text):
@@ -377,15 +385,50 @@ def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
     return means.tolist(), stderrs.tolist()
 
 
+# What one realization of a (width, method) entry holds: a rate, or why it has none.
+OUTCOMES = ("ok", "ci_ill_conditioned", "rank_deficient", "infeasible_width")
+_LACKS = {"ci_feasible": "ci_ill_conditioned", "full_rank": "rank_deficient"}
+
+
+def _outcome(needs: str, state: ChannelRates | None) -> str:
+    """The outcome of a method needing the flag ``needs`` (see ``RateMethod``): ``_LACKS``
+    names a state without it, and ``state`` is None for a width above n_rf_tx."""
+    if state is None:
+        return "infeasible_width"
+    return "ok" if needs == "none" or getattr(state, needs) else _LACKS[needs]
+
+
+def _sample_table(config: ExperimentConfig, threads: int) -> dict:
+    """``(n_rf_rx, method) -> (cells, samples, outcomes)``: the method's (snr_db,
+    bits) cells, the C-ordered (cells, R) array of their rates and the (R,)
+    array of each realization's outcome.  A sample is NaN exactly where its
+    outcome is not ``"ok"``; the method's kernel fills the others."""
+    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], _grid(config), threads)
+    table = {}
+    for n_rf_rx in config.n_rf_rx:
+        row = states.get(n_rf_rx, [None] * config.n_realizations)
+        for method in config.methods:
+            spec = METHODS[method]
+            cells = [(snr, b) for snr in config.snr_grid_db for b in spec.cell_bits(config.bits_grid)]
+            samples = np.empty((len(cells), config.n_realizations))
+            outcomes = np.array([_outcome(spec.needs, state) for state in row])
+            for r, state in enumerate(row):
+                samples[:, r] = spec.kernel(state).ravel() if outcomes[r] == "ok" else math.nan
+            table[n_rf_rx, method] = (cells, samples, outcomes)
+    return table
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Run the configured sweep and return one record per grid cell.
 
     Each realization's channel is drawn once, and alternating projection runs
-    once per realization for all receive-chain counts.  For every width and
-    method, the method's kernel from ``rates.METHODS`` fills a (cells,
-    realizations) array, which is reduced along the realization axis.  Grid
-    cells whose stream count is infeasible (n_rf_rx exceeding n_rf_tx) are
-    emitted with NaN rates so a sweep never aborts.  The config lists each
+    once per realization for all receive-chain counts.  ``_sample_table``
+    holds every (width, method)'s rates and each realization's outcome:
+    ``ok``, ``ci_ill_conditioned`` (channel inversion cannot drive the
+    streams), ``rank_deficient`` (the SVD precoder cannot) or
+    ``infeasible_width`` (n_rf_rx exceeds n_rf_tx).  A sample without a rate
+    is NaN, not an abort, and every entry is reduced over its non-NaN
+    samples; a cell with none has a NaN rate.  The config lists each
     width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
     width's receiver power is computed once per bit depth.
 
@@ -394,45 +437,31 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     stated in ``_realize_all``); the records are bit-identical for any count.
     """
     _check_count(threads, "threads")
-    grid = _grid(config)
-    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], grid, threads)
-    depths = {b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b}
+    power = cache(partial(total_power, config.power, config.n_rx))  # (n_rf_rx, bits) -> mW
     records = []
-    for n_rf_rx in config.n_rf_rx:
-        powers = {bits: total_power(config.power, config.n_rx, n_rf_rx, bits) for bits in depths}
-        for method in config.methods:
-            spec = METHODS[method]
-            cell_bits = spec.cell_bits(config.bits_grid)
-            cells = [(snr_db, bits) for snr_db in config.snr_grid_db for bits in cell_bits]
-            if n_rf_rx in states:
-                samples = np.empty((len(cells), config.n_realizations))
-                for r, state in enumerate(states[n_rf_rx]):
-                    samples[:, r] = spec.kernel(state).ravel()
-                means, stderrs = _aggregate_rows(samples)
+    for (n_rf_rx, method), (cells, samples, _) in _sample_table(config, threads).items():
+        means, stderrs = _aggregate_rows(samples)
+        for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
+            if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
+                p_mw, ee = 0.0, 0.0
             else:
-                means = stderrs = [math.nan] * len(cells)
-            for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
-                if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
-                    p_mw, ee = 0.0, 0.0
-                else:
-                    p_mw = powers[bits]
-                    ee = (math.nan if math.isnan(mean)
-                          else energy_efficiency(mean, config.power.bandwidth_hz, p_mw))
-                records.append(
-                    ResultRecord(
-                        experiment=config.experiment,
-                        snr_db=snr_db,
-                        bits=bits,
-                        n_rf_rx=n_rf_rx,
-                        method=method,
-                        mean_rate_bpshz=mean,
-                        rate_stderr=stderr,
-                        power_mw=p_mw,
-                        ee_bits_per_joule=ee,
-                        n_realizations=config.n_realizations,
-                        master_seed=config.master_seed,
-                    )
+                p_mw = power(n_rf_rx, bits)
+                ee = math.nan if math.isnan(mean) else energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
+            records.append(
+                ResultRecord(
+                    experiment=config.experiment,
+                    snr_db=snr_db,
+                    bits=bits,
+                    n_rf_rx=n_rf_rx,
+                    method=method,
+                    mean_rate_bpshz=mean,
+                    rate_stderr=stderr,
+                    power_mw=p_mw,
+                    ee_bits_per_joule=ee,
+                    n_realizations=config.n_realizations,
+                    master_seed=config.master_seed,
                 )
+            )
     return records
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 # _spectrum is not called here; rates re-exports channel's helper, not a copy.
-from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _matrix, _spectrum
+from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _is_integer, _matrix, _spectrum
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.
@@ -77,7 +77,7 @@ class RateQuery:
 
     def __post_init__(self):
         _check_link(self.rho, self.n_streams)
-        if self.bits < 1:
+        if _is_integer(self.bits) and self.bits < 1:
             raise ValueError("bits must be at least 1")
         _check_bits(self.bits)
         if self.method not in METHODS:
@@ -406,15 +406,26 @@ class ChannelRates:
         )
 
     @cached_property
-    def aqnm(self) -> np.ndarray:
-        """(S, B) AQNM rates of SVD precoding, one precoder per SNR and one
-        :func:`_aqnm_rates` call; NaN if G has too low a rank for it."""
-        rhos = self.grid.rhos
+    def f_bbs(self) -> list[np.ndarray] | None:
+        """The SVD precoder's F_BB at each rho, or None if G's rank is too low for it."""
         try:
-            f_bbs = [self.precoder(self.g, rho, self.n_streams).f_bb for rho in rhos.tolist()]
+            return [self.precoder(self.g, rho, self.n_streams).f_bb for rho in self.grid.rhos.tolist()]
         except RankDeficientChannelError:  # not rho-dependent: no SVD rate at any SNR
+            return None
+
+    @cached_property
+    def full_rank(self) -> bool:
+        """Whether G has the rank the SVD precoder needs; cached, since ``aqnm`` drops ``f_bbs``."""
+        return self.f_bbs is not None
+
+    @cached_property
+    def aqnm(self) -> np.ndarray:
+        """(S, B) AQNM rates of SVD precoding, one :func:`_aqnm_rates` call; NaN unless ``full_rank``."""
+        if not self.full_rank:
             return self.nans(len(self.grid.bits))
-        return _aqnm_rates(self.g.entries @ np.stack(f_bbs), rhos, self.grid.etas)
+        a = self.g.entries @ np.stack(self.f_bbs)
+        del self.f_bbs  # a sweep holds every state: keep the table, not the precoders
+        return _aqnm_rates(a, self.grid.rhos, self.grid.etas)
 
 
 def _ci_fano_kernel(x: ChannelRates) -> np.ndarray:
@@ -455,12 +466,15 @@ class RateMethod:
     tagged bits=0).  ``kernel`` maps a :class:`ChannelRates` to an (S, B)
     array, B being the number of bit depths the grid gives.
     ``reads_ci_exact`` marks a kernel that reads ``ChannelRates.ci_exact``,
-    whose tables a sweep computes ahead of the kernels.
+    whose tables a sweep computes ahead of the kernels.  ``needs`` is
+    ``"none"`` or the flag of :class:`ChannelRates` without which the kernel
+    gives NaN: ``"ci_feasible"`` or ``"full_rank"``.
     """
 
     kind: str
     kernel: Callable[[ChannelRates], np.ndarray]
     reads_ci_exact: bool = False
+    needs: str = "none"
 
     def cell_bits(self, bits_grid) -> tuple[int, ...]:
         """The bits value of each of the method's cells at one SNR."""
@@ -469,10 +483,10 @@ class RateMethod:
 
 # The one table of rate methods: validation, the sweep and evaluate() read it.
 METHODS: dict[str, RateMethod] = {
-    "ci_exact": RateMethod("bits", lambda x: x.ci_exact, reads_ci_exact=True),
-    "ci_fano": RateMethod("bits", _ci_fano_kernel),
-    "ci_onebit": RateMethod("onebit", _ci_onebit_kernel),
-    "aqnm_svd": RateMethod("bits", lambda x: x.aqnm),
+    "ci_exact": RateMethod("bits", lambda x: x.ci_exact, reads_ci_exact=True, needs="ci_feasible"),
+    "ci_fano": RateMethod("bits", _ci_fano_kernel, needs="ci_feasible"),
+    "ci_onebit": RateMethod("onebit", _ci_onebit_kernel, needs="ci_feasible"),
+    "aqnm_svd": RateMethod("bits", lambda x: x.aqnm, needs="full_rank"),
     "ub_onebit_tight": RateMethod(
         "onebit", lambda x: _onebit_bound(x.g.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
     ),
@@ -481,8 +495,8 @@ METHODS: dict[str, RateMethod] = {
         "unquantized", lambda x: _infinite_bound(x.g.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
     ),
     # a composite: per realization, the larger of the channel-inversion and
-    # SVD rates at the same resolution
-    "hybrid": RateMethod("bits", _hybrid_kernel, reads_ci_exact=True),
+    # SVD rates at the same resolution, or the SVD rate alone if CI is infeasible
+    "hybrid": RateMethod("bits", _hybrid_kernel, reads_ci_exact=True, needs="full_rank"),
 }
 
 RATE_METHODS = tuple(METHODS)

@@ -1,4 +1,8 @@
-"""Shared fixtures and the acceptance-suite summary printer."""
+"""Shared fixtures, the OpenBLAS kernel header and the acceptance-suite summary printer."""
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -53,8 +57,28 @@ def random_semi_unitary(rng, rows, cols):
     return q * np.sign(np.diag(r).real)[None, :]
 
 
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked on this CPU, or "unknown"."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        corename = lib.scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (IndexError, OSError, AttributeError, UnicodeDecodeError):
+        return "unknown"
+
+
+def pytest_report_header(config):
+    """Name the BLAS kernel: tests that pin floating-point bits hold per kernel."""
+    return f"openblas core: {openblas_core()}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One PASS/FAIL line per acceptance criterion at the end of the run."""
+    """One PASS/FAIL line per acceptance criterion at the end of the run, and
+    the BLAS kernel if ``-q`` hid the header that names it."""
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(f"openblas core: {openblas_core()}")
     lines = {}
     for status in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(status, []):

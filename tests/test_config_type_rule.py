@@ -54,6 +54,8 @@ WORKLOADS = sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))
         ({"methods": ("ci_exact", 3)}, "methods entries must be strings"),
         ({"experiment": b"rate_vs_snr"}, "experiment must be a string"),
         ({"bits_grid": {2: 1}}, "bits_grid entries must be integers"),
+        ({"angle_spread_deg": 10**400}, "angle_spread_deg must be finite"),
+        ({"snr_grid_db": (10**400,)}, "snr_grid_db entries must be finite"),
     ],
     ids=lambda v: next(iter(v)) if isinstance(v, dict) else None,
 )

@@ -126,7 +126,7 @@ def test_power_model_takes_numpy_integers_and_no_receive_chains():
     assert total_power(params, 8, 0, 4) == 360.0
 
 
-@pytest.mark.parametrize("bits", [9, 1.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("bits", [9, 1.5, True, np.float64(3.0), "3"])
 def test_rate_query_rejects_a_bad_bit_depth_where_it_is_given(bits):
     with pytest.raises(ValueError, match=r"^bits must be an integer in \[1, 8\]"):
         RateQuery(1.0, 2, bits, "ci_exact")
