@@ -60,18 +60,23 @@ def _check_count(n, name: str) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+# A Python float, so a Python int compares with it exactly; against a numpy
+# float an int beyond float range raises OverflowError instead.
+_MAX_DOUBLE = float(np.finfo(float).max)
+
+
 def _check_positive(value, name: str) -> None:
     """A positive finite real, or an ``np.ndarray`` of them.
 
     Raises ``ValueError("{name} must be positive")`` first, NaN included,
-    then ``"{name} must be finite"``.  A scalar takes two plain comparisons,
-    not an array call, which costs far more: ``energy_efficiency`` checks
-    once per CSV record.
+    then ``"{name} must be finite"``, an integer beyond the largest double
+    included.  A scalar takes two plain comparisons, not an array call,
+    which costs far more: ``energy_efficiency`` checks once per CSV record.
     """
     if isinstance(value, np.ndarray):
-        positive, finite = (value > 0).all(), (value < np.inf).all()
+        positive, finite = (value > 0).all(), (value <= _MAX_DOUBLE).all()
     else:
-        positive, finite = value > 0, value < np.inf
+        positive, finite = value > 0, value <= _MAX_DOUBLE
     if not positive:
         raise ValueError(f"{name} must be positive")
     if not finite:

@@ -40,6 +40,7 @@ from .quantizers import MAX_BITS, lloyd_max
 # tracer wraps them by name.
 from .rates import (
     METHODS,
+    OUTCOMES,
     RATE_METHODS,
     ChannelRates,
     RateGrid,
@@ -385,24 +386,11 @@ def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
     return means.tolist(), stderrs.tolist()
 
 
-# What one realization of a (width, method) entry holds: a rate, or why it has none.
-OUTCOMES = ("ok", "ci_ill_conditioned", "rank_deficient", "infeasible_width")
-_LACKS = {"ci_feasible": "ci_ill_conditioned", "full_rank": "rank_deficient"}
-
-
-def _outcome(needs: str, state: ChannelRates | None) -> str:
-    """The outcome of a method needing the flag ``needs`` (see ``RateMethod``): ``_LACKS``
-    names a state without it, and ``state`` is None for a width above n_rf_tx."""
-    if state is None:
-        return "infeasible_width"
-    return "ok" if needs == "none" or getattr(state, needs) else _LACKS[needs]
-
-
 def _sample_table(config: ExperimentConfig, threads: int) -> dict:
     """``(n_rf_rx, method) -> (cells, samples, outcomes)``: the method's (snr_db,
     bits) cells, the C-ordered (cells, R) array of their rates and the (R,)
-    array of each realization's outcome.  A sample is NaN exactly where its
-    outcome is not ``"ok"``; the method's kernel fills the others."""
+    array of each realization's ``RateMethod.outcome``.  A sample is NaN exactly
+    where its outcome is not ``"ok"``; the method's kernel fills the others."""
     states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], _grid(config), threads)
     table = {}
     for n_rf_rx in config.n_rf_rx:
@@ -411,7 +399,7 @@ def _sample_table(config: ExperimentConfig, threads: int) -> dict:
             spec = METHODS[method]
             cells = [(snr, b) for snr in config.snr_grid_db for b in spec.cell_bits(config.bits_grid)]
             samples = np.empty((len(cells), config.n_realizations))
-            outcomes = np.array([_outcome(spec.needs, state) for state in row])
+            outcomes = np.array([spec.outcome(state) for state in row])
             for r, state in enumerate(row):
                 samples[:, r] = spec.kernel(state).ravel() if outcomes[r] == "ok" else math.nan
             table[n_rf_rx, method] = (cells, samples, outcomes)
@@ -423,14 +411,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
 
     Each realization's channel is drawn once, and alternating projection runs
     once per realization for all receive-chain counts.  ``_sample_table``
-    holds every (width, method)'s rates and each realization's outcome:
-    ``ok``, ``ci_ill_conditioned`` (channel inversion cannot drive the
-    streams), ``rank_deficient`` (the SVD precoder cannot) or
-    ``infeasible_width`` (n_rf_rx exceeds n_rf_tx).  A sample without a rate
-    is NaN, not an abort, and every entry is reduced over its non-NaN
-    samples; a cell with none has a NaN rate.  The config lists each
-    width, SNR, bit depth and method once (see ``_LIST_AXES``), and each
-    width's receiver power is computed once per bit depth.
+    holds every (width, method)'s rates and each realization's outcome, one
+    of ``rates.OUTCOMES`` by the one rule ``RateMethod.outcome``: ``ok``,
+    ``ci_ill_conditioned`` (channel inversion cannot drive the streams),
+    ``rank_deficient`` (the SVD precoder cannot) or ``infeasible_width``
+    (n_rf_rx exceeds n_rf_tx).  A sample without a rate is NaN, not an
+    abort, and every entry is reduced over its non-NaN samples; a cell with
+    none has a NaN rate, and ``n_realizations`` counts all R.  The config
+    lists each width, SNR, bit depth and method once (see ``_LIST_AXES``),
+    and each width's receiver power is computed once per bit depth.
 
     ``threads`` must be an integer of at least 1.  It sizes the pool that
     computes the exact channel-inversion tables beside AP (the policy is

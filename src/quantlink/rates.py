@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -406,38 +406,28 @@ class ChannelRates:
         )
 
     @cached_property
-    def f_bbs(self) -> list[np.ndarray] | None:
-        """The SVD precoder's F_BB at each rho, or None if G's rank is too low for it."""
-        try:
-            return [self.precoder(self.g, rho, self.n_streams).f_bb for rho in self.grid.rhos.tolist()]
-        except RankDeficientChannelError:  # not rho-dependent: no SVD rate at any SNR
-            return None
-
-    @cached_property
-    def full_rank(self) -> bool:
-        """Whether G has the rank the SVD precoder needs; cached, since ``aqnm`` drops ``f_bbs``."""
-        return self.f_bbs is not None
-
-    @cached_property
     def aqnm(self) -> np.ndarray:
-        """(S, B) AQNM rates of SVD precoding, one :func:`_aqnm_rates` call; NaN unless ``full_rank``."""
-        if not self.full_rank:
+        """(S, B) AQNM rates of SVD precoding, one :func:`_aqnm_rates` call; all NaN if G's
+        rank is too low, which ``RateMethod.outcome`` reports as ``rank_deficient``."""
+        try:
+            f_bbs = [self.precoder(self.g, rho, self.n_streams).f_bb for rho in self.grid.rhos.tolist()]
+        except RankDeficientChannelError:  # not rho-dependent: no SVD rate at any SNR
             return self.nans(len(self.grid.bits))
-        a = self.g.entries @ np.stack(self.f_bbs)
-        del self.f_bbs  # a sweep holds every state: keep the table, not the precoders
-        return _aqnm_rates(a, self.grid.rhos, self.grid.etas)
+        return _aqnm_rates(self.g.entries @ np.stack(f_bbs), self.grid.rhos, self.grid.etas)
+
+    @property
+    def full_rank(self) -> bool:
+        """Whether G has the rank the SVD precoder needs, that is ``aqnm`` holds rates: the
+        flag that ``RateMethod.outcome`` reads, one of the two whose lack ``rates.OUTCOMES`` names."""
+        return not np.isnan(self.aqnm).any()
 
 
 def _ci_fano_kernel(x: ChannelRates) -> np.ndarray:
-    if not x.ci_feasible:
-        return x.nans(len(x.grid.bits))
     bits = np.array(x.grid.bits)
     return _fano_rate(bits, _pam_error_probability(bits, x.snr_ci[:, None]), x.n_streams)
 
 
 def _ci_onebit_kernel(x: ChannelRates) -> np.ndarray:
-    if not x.ci_feasible:
-        return x.nans(1)
     return _onebit_rate_from_snr(snr_ci(x.g, x.grid.rhos), x.n_streams)[:, None]
 
 
@@ -457,6 +447,11 @@ def _ub_onebit_loose_kernel(x: ChannelRates) -> np.ndarray:
     return _onebit_bound(x.h.singular_values[0], x.grid.rhos, x.n_streams)[:, None]
 
 
+# What one realization of a (width, method) entry holds: a rate, or why it has none.
+OUTCOMES = ("ok", "ci_ill_conditioned", "rank_deficient", "infeasible_width")
+_LACKS = {"ci_feasible": "ci_ill_conditioned", "full_rank": "rank_deficient"}
+
+
 @dataclass(frozen=True)
 class RateMethod:
     """A rate method: the grid cells it fills and the kernel that fills them.
@@ -467,14 +462,31 @@ class RateMethod:
     array, B being the number of bit depths the grid gives.
     ``reads_ci_exact`` marks a kernel that reads ``ChannelRates.ci_exact``,
     whose tables a sweep computes ahead of the kernels.  ``needs`` is
-    ``"none"`` or the flag of :class:`ChannelRates` without which the kernel
-    gives NaN: ``"ci_feasible"`` or ``"full_rank"``.
+    ``"none"`` or the flag of :class:`ChannelRates` the method needs:
+    ``"ci_feasible"`` or ``"full_rank"``.  :meth:`outcome` is the one rule
+    for a realization without a rate: it gives the realization's entry of
+    ``OUTCOMES``.  The ``kernel`` given is wrapped once to apply the rule:
+    every cell is NaN, and the formula does not run, unless the outcome is
+    ``"ok"``.
     """
 
     kind: str
     kernel: Callable[[ChannelRates], np.ndarray]
     reads_ci_exact: bool = False
     needs: str = "none"
+
+    def __post_init__(self):
+        formula = self.kernel
+        @wraps(formula)  # inspect.getsource unwraps it to the formula
+        def kernel(x: ChannelRates) -> np.ndarray:
+            return formula(x) if self.outcome(x) == "ok" else x.nans(len(self.cell_bits(x.grid.bits)))
+        object.__setattr__(self, "kernel", kernel)
+
+    def outcome(self, state: ChannelRates | None) -> str:
+        """The method's entry of ``OUTCOMES`` for ``state`` (None for a width above n_rf_tx)."""
+        if state is None:
+            return "infeasible_width"
+        return "ok" if self.needs == "none" or getattr(state, self.needs) else _LACKS[self.needs]
 
     def cell_bits(self, bits_grid) -> tuple[int, ...]:
         """The bits value of each of the method's cells at one SNR."""
@@ -509,7 +521,8 @@ def evaluate(query: RateQuery, g, h=None) -> RateResult:
     method builds its own waterfilling precoder and Lloyd-Max distortion
     factor for the queried resolution.  The query's stream count must equal
     the receive-chain count, G's row count, as in the sweep.  A method the
-    channel cannot carry raises :class:`RankDeficientChannelError`.
+    channel cannot carry, by the one rule ``RateMethod.outcome``, raises
+    :class:`RankDeficientChannelError` naming its entry of ``OUTCOMES``.
     """
     g = _matrix(g)
     h = None if h is None else _matrix(h)
@@ -517,9 +530,9 @@ def evaluate(query: RateQuery, g, h=None) -> RateResult:
     _check_stream_count(g, n)
     grid = RateGrid(np.array([query.rho]), (query.bits,), np.array([lloyd_max(query.bits)[1].eta]))
     rates = ChannelRates(g, h, n, ci_feasible(g.singular_values, n), grid)
-    value = float(METHODS[query.method].kernel(rates)[0, 0])
-    if math.isnan(value):
+    spec = METHODS[query.method]
+    if (outcome := spec.outcome(rates)) != "ok":
         raise RankDeficientChannelError(
-            f"the effective channel cannot carry {query.method} with {query.n_streams} streams"
+            f"the effective channel cannot carry {query.method} with {n} streams: {outcome}"
         )
-    return RateResult(value, query.method)
+    return RateResult(float(spec.kernel(rates)[0, 0]), query.method)

@@ -101,6 +101,18 @@ def test_every_positive_real_is_checked_by_one_rule(site, bad):
         call(value)
 
 
+# The grid sites take an array, and np.append overflows on an integer beyond
+# float range before the rule runs.
+GRID_SITES = ("build_transition_matrices", "rate_ci_exact_grid", "waterfill_gains")
+
+
+@pytest.mark.parametrize("site", [site for site in POSITIVE_SITES if site not in GRID_SITES])
+def test_an_integer_beyond_the_largest_double_is_not_finite(site):
+    name, call = POSITIVE_SITES[site]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call(10**400)
+
+
 @pytest.mark.parametrize("site", POSITIVE_SITES)
 def test_every_positive_real_site_takes_a_good_value(site):
     POSITIVE_SITES[site][1](2.0)
