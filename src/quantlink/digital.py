@@ -65,28 +65,26 @@ def ci_feasible(nu: np.ndarray, n_streams: int) -> bool:
 
 
 def _check_invertible(nu: np.ndarray, n_streams: int) -> None:
+    """The one place channel inversion raises: where :func:`ci_feasible` fails."""
     if not ci_feasible(nu, n_streams):
         raise RankDeficientChannelError(
-            "effective channel Gram matrix is numerically singular; "
-            f"reduce the stream count below {n_streams} (condition limit {CONDITION_LIMIT:g})"
+            f"channel inversion cannot drive {n_streams} streams: G has fewer columns "
+            "(n_rf_tx) than streams, or its Gram matrix is numerically singular "
+            f"(condition limit {CONDITION_LIMIT:g}); use fewer receive chains"
         )
 
 
 def channel_inversion_precoder(g) -> DigitalPrecoder:
     """Zero-interference precoder sqrt(Ns/beta) G^* (G G^*)^{-1}.
 
-    Requires at least as many transmit chains as streams (G has at least as
-    many columns as rows) and a well-conditioned G G^*.  The result satisfies
-    G F_BB = sqrt(Ns/beta) I with beta = tr{(G G^*)^{-1}}, so the streams
-    decouple before quantization and the power constraint holds with equality.
+    G's singular values must pass :func:`ci_feasible`, the one rule: it fails
+    when G has fewer columns (transmit chains) than rows (streams) or G G^*
+    is ill-conditioned.  The result satisfies G F_BB = sqrt(Ns/beta) I with
+    beta = tr{(G G^*)^{-1}}, so the streams decouple before quantization and
+    the power constraint holds with equality.
     """
     entries = _entries(g)
-    n_streams, n_rf_tx = entries.shape
-    if n_rf_tx < n_streams:
-        raise RankDeficientChannelError(
-            f"channel inversion needs n_rf_tx >= n_streams; got G of shape {entries.shape}. "
-            "Use fewer receive chains so that only n_rf_tx streams are formed."
-        )
+    n_streams = entries.shape[0]
     u, nu, vh = np.linalg.svd(entries, full_matrices=False)
     _check_invertible(nu, n_streams)
     beta = float(np.sum(nu**-2.0))
@@ -124,13 +122,10 @@ def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
     order = np.argsort(-gains, kind="stable")
     inv = 1.0 / gains[order]
     k = gains.size
-    while k > 1:
-        mu = (total_power + inv[:k].sum()) / k
-        if mu - inv[k - 1] >= 0:
-            break
+    mu = (total_power + inv.sum()) / k
+    while k > 1 and not mu - inv[k - 1] >= 0:  # NaN from an infinite 1/g_i included
         k -= 1
-    else:
-        mu = total_power + inv[0]
+        mu = (total_power + inv[:k].sum()) / k
     powers = np.zeros_like(gains)
     powers[order[:k]] = mu - inv[:k]
     if abs(powers.sum() - total_power) > 1e-9 * total_power:

@@ -9,10 +9,9 @@ conversions centralized in :func:`energy_efficiency`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .channel import _check_count, _check_positive, _is_integer
+from .channel import _MAX_DOUBLE, _check_count, _check_positive, _is_integer
 
 __all__ = [
     "PowerModelParams",
@@ -76,7 +75,7 @@ def energy_efficiency(rate_bpshz: float, bandwidth_hz: float, p_tot_mw: float) -
     _check_positive(p_tot_mw, "p_tot_mw")
     if rate_bpshz < 0:
         raise ValueError("rate must be nonnegative")
-    if not rate_bpshz < math.inf:  # NaN included
+    if not rate_bpshz <= _MAX_DOUBLE:  # NaN and an integer beyond float range included
         raise ValueError(f"rate must be a finite number, got {rate_bpshz!r}")
     _check_positive(bandwidth_hz, "bandwidth_hz")
     return rate_bpshz * bandwidth_hz / (p_tot_mw * 1e-3)

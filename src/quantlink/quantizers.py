@@ -85,9 +85,7 @@ class QuantizerSpec:
         m = 2**self.bits
         if self.levels.shape != (m,) or self.thresholds.shape != (m - 1,):
             raise ValueError(f"need {m} levels and {m - 1} thresholds for {self.bits} bits")
-        if np.any(np.diff(self.levels) <= 0) or (
-            m > 2 and np.any(np.diff(self.thresholds) <= 0)
-        ):
+        if np.any(np.diff(self.levels) <= 0) or np.any(np.diff(self.thresholds) <= 0):
             raise ValueError("levels and thresholds must be strictly increasing")
         midpoints = 0.5 * (self.levels[1:] + self.levels[:-1])
         if np.max(np.abs(self.thresholds - midpoints)) > 1e-12 * max(1.0, self.levels[-1]):
@@ -295,33 +293,30 @@ def _lloyd_fixed_point(bits: int):
     Newton iterations on l_j - E[y | cell_j(l)] = 0 with the tridiagonal
     Jacobian converge from the Gaussian-quantile start in a handful of steps;
     the result is certified by checking that one full Lloyd step moves no
-    level by more than 1e-12.  Each Newton step is solved by
+    level by more than 1e-12.  One bit is the 1x1 case: its single cell's
+    conditional mean does not depend on the level, so the first step lands
+    on it.  Each Newton step is solved by
     :func:`_solve_tridiagonal`, which reproduces LAPACK ``dgtsv`` (the
     routine behind SciPy's ``solve_banded``) bit for bit, so the package
     needs only ``scipy.special`` from scipy.
     """
     half = 2 ** (bits - 1)
     levels = ndtri(0.5 + (np.arange(half) + 0.5) / (2 * half))
-    if half == 1:
-        # Single positive cell [0, inf): its conditional mean does not depend
-        # on the level, so one Lloyd step lands exactly on the fixed point.
-        levels = _lloyd_map_half(levels)[0]
-    else:
-        for _ in range(60):
-            cond_mean, prob, edges = _lloyd_map_half(levels)
-            residual = levels - cond_mean
-            dens = _gauss_pdf(edges)
-            # d(cond mean)/d(lower edge) and /d(upper edge) for each cell
-            dga = dens * (cond_mean - edges) / prob
-            dgb = np.zeros(half)
-            dgb[:-1] = dens[1:] * (edges[1:] - cond_mean[:-1]) / prob[:-1]
-            diag = np.ones(half)
-            diag[1:] -= dga[1:] / 2.0  # lowest cell's lower edge is fixed at 0
-            diag[:-1] -= dgb[:-1] / 2.0  # top cell's upper edge is +inf
-            step = _solve_tridiagonal(-dga[1:] / 2.0, diag, -dgb[:-1] / 2.0, residual)
-            levels = levels - step
-            if np.max(np.abs(step)) < 1e-14:
-                break
+    for _ in range(60):
+        cond_mean, prob, edges = _lloyd_map_half(levels)
+        residual = levels - cond_mean
+        dens = _gauss_pdf(edges)
+        # d(cond mean)/d(lower edge) and /d(upper edge) for each cell
+        dga = dens * (cond_mean - edges) / prob
+        dgb = np.zeros(half)
+        dgb[:-1] = dens[1:] * (edges[1:] - cond_mean[:-1]) / prob[:-1]
+        diag = np.ones(half)
+        diag[1:] -= dga[1:] / 2.0  # lowest cell's lower edge is fixed at 0
+        diag[:-1] -= dgb[:-1] / 2.0  # top cell's upper edge is +inf
+        step = _solve_tridiagonal(-dga[1:] / 2.0, diag, -dgb[:-1] / 2.0, residual)
+        levels = levels - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
     cond_mean, prob, _ = _lloyd_map_half(levels)
     if np.max(np.abs(cond_mean - levels)) > 1e-12:
         raise RuntimeError(f"Lloyd-Max solver did not reach a 1e-12 fixed point for b={bits}")
@@ -355,11 +350,14 @@ def pam_error_probability(bits: int, snr: float) -> float:
     """Symbol error probability of 2^b-PAM with matched uniform quantization.
 
     P_e = 2 (1 - 2^-b) Q(delta / 2), delta the :func:`matched_stepsize`;
-    for one bit this is Q(sqrt(snr)).
+    for one bit this is Q(sqrt(snr)).  ``snr`` may be 0; any other value
+    must be positive and finite.
     """
     bits = _check_bits(bits)
     if not snr >= 0:
         raise ValueError("snr must be nonnegative")
+    if snr != 0:
+        _check_positive(snr, "snr")
     return float(_pam_error_probability(bits, snr))
 
 

@@ -263,10 +263,11 @@ def _fano_rate(bits: int, pe, n_streams: int):
 
 
 def _eta_value(eta) -> float:
-    value = eta.eta if isinstance(eta, DistortionFactor) else float(eta)
+    # compared before float(), which overflows on an integer beyond the largest double
+    value = eta.eta if isinstance(eta, DistortionFactor) else eta
     if not 0.0 <= value < 1.0:
         raise ValueError(f"distortion factor must lie in [0, 1), got {value!r}")
-    return value
+    return float(value)
 
 
 def rate_aqnm(g, f_bb, rho: float, eta) -> RateResult:
@@ -450,6 +451,7 @@ def _ub_onebit_loose_kernel(x: ChannelRates) -> np.ndarray:
 # What one realization of a (width, method) entry holds: a rate, or why it has none.
 OUTCOMES = ("ok", "ci_ill_conditioned", "rank_deficient", "infeasible_width")
 _LACKS = {"ci_feasible": "ci_ill_conditioned", "full_rank": "rank_deficient"}
+_KINDS = ("bits", "onebit", "unquantized")
 
 
 @dataclass(frozen=True)
@@ -467,7 +469,7 @@ class RateMethod:
     for a realization without a rate: it gives the realization's entry of
     ``OUTCOMES``.  The ``kernel`` given is wrapped once to apply the rule:
     every cell is NaN, and the formula does not run, unless the outcome is
-    ``"ok"``.
+    ``"ok"``.  Any other ``kind`` or ``needs`` raises ``ValueError``.
     """
 
     kind: str
@@ -476,6 +478,10 @@ class RateMethod:
     needs: str = "none"
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.needs != "none" and self.needs not in _LACKS:
+            raise ValueError(f"needs must be 'none' or one of {tuple(_LACKS)}, got {self.needs!r}")
         formula = self.kernel
         @wraps(formula)  # inspect.getsource unwraps it to the formula
         def kernel(x: ChannelRates) -> np.ndarray:
