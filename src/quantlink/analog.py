@@ -92,6 +92,14 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _project(stack: np.ndarray):
+    # One AP step on a stack of antennas x width iterates: the fixed-modulus
+    # projection, its polar factor, and their distance per matrix over sqrt(width).
+    tilde = _phase_project(stack, 1.0 / np.sqrt(stack.shape[-2]))
+    hat = _nearest_semi_unitary(tilde)
+    return tilde, hat, _frobenius_norms(hat - tilde) / math.sqrt(stack.shape[-1])
+
+
 def alternating_projections(
     hs,
     n_rf_tx: int,
@@ -161,43 +169,36 @@ def _projection_stream(
         vh_start[i] = vh[:n_rf_tx]
         u_start[i] = u[:, : u_start.shape[2]]
     f_hat = vh_start.conj().swapaxes(1, 2)
-    # precoder stack: one row per live channel, sorted; per width: combiner
-    # stack, channel of each of its rows, and the first residual of each pair
+    # precoder stack: one row per live channel, sorted; per width, one record:
+    # its combiner stack, the channel of each row, and each pair's first residual
     f_chan = np.arange(n_chan)
-    w_hat = {n: u_start[..., :n] for n in n_rf_rxs}
-    w_chan = {n: f_chan for n in n_rf_rxs}
-    first_residual = {}
+    pending = {n: (u_start[..., :n], f_chan, None) for n in n_rf_rxs}
 
-    mod_w = 1.0 / np.sqrt(n_rx)
-    mod_f = 1.0 / np.sqrt(n_tx)
     for k in range(1, max_iter + 1):
-        if not w_hat:
+        if not pending:
             break
-        f_tilde = _phase_project(f_hat, mod_f)
-        f_hat = _nearest_semi_unitary(f_tilde)
-        res_f = _frobenius_norms(f_hat - f_tilde) / math.sqrt(n_rf_tx)
+        f_tilde, f_hat, res_f = _project(f_hat)
         finished = False
-        for n in list(w_hat):
-            w_tilde = _phase_project(w_hat[n], mod_w)
-            w_hat[n] = _nearest_semi_unitary(w_tilde)
-            res_w = _frobenius_norms(w_hat[n] - w_tilde) / math.sqrt(n)
-            rows = f_chan.searchsorted(w_chan[n])
+        for n, (w_hat, chan, first) in list(pending.items()):
+            w_tilde, w_hat, res_w = _project(w_hat)
+            rows = f_chan.searchsorted(chan)
             pair_res_f = res_f[rows]
             residual = np.maximum(res_w, pair_res_f)
             if k == 1:
-                first_residual[n] = residual
+                first = residual
             converged = residual < epsilon
             if k < max_iter and not converged.any():
+                pending[n] = w_hat, chan, first
                 continue
             done = converged if k < max_iter else np.ones_like(converged)
             # Alternating projections between closed sets cannot move farther
             # from the constraint set than the first iterate did.
-            if not (residual[done] <= first_residual[n][done] * (1.0 + 1e-9) + 1e-15).all():
+            if not (residual[done] <= first[done] * (1.0 + 1e-9) + 1e-15).all():
                 raise RuntimeError("projection distance increased across iterations")
             # Copies free the stacks; order="K" keeps each matrix's layout,
             # which later matrix products see.
             for i in np.flatnonzero(done):
-                yield n, int(w_chan[n][i]), AnalogPrecoderPair(
+                yield n, int(chan[i]), AnalogPrecoderPair(
                     f_rf=f_tilde[rows[i]].copy(order="K"),
                     w_rf=w_tilde[i].copy(order="K"),
                     residual_f=float(pair_res_f[i]),
@@ -207,14 +208,13 @@ def _projection_stream(
                 )
             keep = ~done
             if keep.any():
-                w_hat[n], w_chan[n] = w_hat[n][keep], w_chan[n][keep]
-                first_residual[n] = first_residual[n][keep]
+                pending[n] = w_hat[keep], chan[keep], first[keep]
             else:
-                del w_hat[n], w_chan[n]
+                del pending[n]
             finished = True
-        if finished and w_chan:
+        if finished and pending:
             # keep the precoder rows of the channels some width still reads
-            live = np.unique(np.concatenate(list(w_chan.values())))
+            live = np.unique(np.concatenate([chan for _, chan, _ in pending.values()]))
             f_hat, f_chan = f_hat[f_chan.searchsorted(live)], live
 
 

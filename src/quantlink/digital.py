@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_positive, _entries, _is_integer, _matrix
+from .channel import _check_positive, _entries, _is_integer, _matrix, svd_of  # noqa: F401
 
 __all__ = [
     "RankDeficientChannelError",
@@ -42,7 +43,7 @@ class DigitalPrecoder:
 
     def __post_init__(self):
         self.f_bb = np.asarray(self.f_bb, dtype=complex)
-        if np.linalg.norm(self.f_bb) ** 2 > self.n_streams + 1e-9:
+        if not np.linalg.norm(self.f_bb) ** 2 <= self.n_streams + 1e-9:  # NaN fails
             raise ValueError("precoder violates the transmit power constraint")
 
     @property
@@ -83,13 +84,12 @@ def channel_inversion_precoder(g) -> DigitalPrecoder:
     beta = tr{(G G^*)^{-1}}, so the streams decouple before quantization and
     the power constraint holds with equality.
     """
-    entries = _entries(g)
-    n_streams = entries.shape[0]
-    u, nu, vh = np.linalg.svd(entries, full_matrices=False)
+    u, nu, v = svd_of(g)
+    n_streams = u.shape[0]
     _check_invertible(nu, n_streams)
     beta = float(np.sum(nu**-2.0))
     # G^* (G G^*)^{-1} = V diag(1/nu) U^*
-    f_bb = np.sqrt(n_streams / beta) * (vh.conj().T * (1.0 / nu)[None, :]) @ u.conj().T
+    f_bb = np.sqrt(n_streams / beta) * (v * (1.0 / nu)[None, :]) @ u.conj().T
     return DigitalPrecoder(f_bb, beta=beta)
 
 
@@ -109,32 +109,35 @@ def snr_ci(g, rho):
 def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
     """Waterfilling powers p_i = max(0, mu - 1/g_i) summing to ``total_power``.
 
-    The gains and the budget must be positive and finite.  Solved in closed
-    form by sorting the gains (ties keep their input order) and picking the
-    largest active set with a feasible water level, so no iteration
-    tolerance is involved.
+    The gains must form a nonempty one-dimensional array, and they and the
+    budget must be positive and finite.  Solved in closed form, so no
+    iteration tolerance is involved: sorted by gain (ties keep their input
+    order), the active set is the largest k whose weakest member lies within
+    the budget's share of the active mean, 1/g_k - mean(1/g_1..1/g_k) <= P/k.
+    Each 1/g_i is taken in units of a power of two that keeps it finite, so
+    a subnormal gain, whose 1/g_i overflows, gets a finite power by the same
+    rule: ``waterfill([1e-310], 1.0)`` is ``[1.0]``.
     """
     gains = np.asarray(gains, dtype=float)
-    if gains.size == 0:
-        raise ValueError("gains must be nonempty")
+    if gains.ndim != 1 or gains.size == 0:
+        raise ValueError("gains must be a nonempty one-dimensional array")
     _check_positive(gains, "gains")
     _check_positive(total_power, "total_power")
     order = np.argsort(-gains, kind="stable")
-    inv = 1.0 / gains[order]
+    # 1 unless some 1/g_i (or their sum) would overflow; then small enough
+    # that every unit/g_i and their sum stay finite
+    unit = 2.0 ** min(0, math.frexp(gains.min())[1] + 1020 - gains.size.bit_length())
+    inv = unit / gains[order]
+    budget = total_power * unit
     k = gains.size
-    mu = (total_power + inv.sum()) / k
-    while k > 1 and not mu - inv[k - 1] >= 0:  # NaN from an infinite 1/g_i included
+    while k > 1 and not inv[k - 1] - inv[:k].mean() <= budget / k:
         k -= 1
-        mu = (total_power + inv[:k].sum()) / k
     powers = np.zeros_like(gains)
-    powers[order[:k]] = mu - inv[:k]
+    powers[order[:k]] = ((budget + inv[:k].sum()) / k - inv[:k]) / unit
     if abs(powers.sum() - total_power) > 1e-9 * total_power:
         # a 1/g_i that dwarfs the budget swallows it in mu - 1/g_i: measure
         # each 1/g_i from the mean of the active ones instead
-        while k > 1 and inv[k - 1] - inv[:k].mean() > total_power / k:
-            k -= 1
-        powers[:] = 0.0
-        powers[order[:k]] = total_power / k - (inv[:k] - inv[:k].mean())
+        powers[order[:k]] = total_power / k - (inv[:k] - inv[:k].mean()) / unit
     return powers
 
 
@@ -147,15 +150,14 @@ def svd_precoder(g, rho: float, n_streams: int) -> DigitalPrecoder:
     and finite, and ``n_streams`` an integer from 1 to G's smaller dimension.
     """
     _check_positive(rho, "rho")
-    entries = _entries(g)
-    if not (_is_integer(n_streams) and 1 <= n_streams <= min(entries.shape)):
-        raise ValueError(f"n_streams must be in [1, {min(entries.shape)}], got {n_streams}")
-    _, nu, vh = np.linalg.svd(entries, full_matrices=False)
+    _, nu, v = svd_of(g)
+    if not (_is_integer(n_streams) and 1 <= n_streams <= len(nu)):
+        raise ValueError(f"n_streams must be in [1, {len(nu)}], got {n_streams}")
     if nu[n_streams - 1] <= nu[0] * 1e-12:
         raise RankDeficientChannelError(
             f"effective channel rank is below the requested {n_streams} streams"
         )
     gains = rho * nu[:n_streams] ** 2 / n_streams
     powers = waterfill(gains, float(n_streams))
-    f_bb = vh.conj().T[:, :n_streams] * np.sqrt(powers)[None, :]
+    f_bb = v[:, :n_streams] * np.sqrt(powers)[None, :]
     return DigitalPrecoder(f_bb, power_alloc=powers)
