@@ -333,9 +333,10 @@ def _realize_all(
     the unstarted jobs from the back and stores each table as its state's
     ``ci_exact``.  Without workers no thread starts and nothing is queued:
     each table is computed once, when a kernel first reads ``ci_exact``.
-    The kernel's array calls release the GIL, so the AP left on this thread
-    bounds the gain.  Every table comes from the same calls on the same
-    inputs, so the states do not depend on ``threads``.
+    A worker slows AP (1.6x to 1.9x on ``nrf_all_t2``): AP's short array
+    calls wait for the GIL that the kernel's short calls hold.  Every table
+    comes from the same calls on the same inputs, so the states do not
+    depend on ``threads``.
     """
     if not widths:
         return {}

@@ -202,14 +202,13 @@ def build_transition_matrices(bits: int, snr) -> np.ndarray:
 def _fill_transition_matrices(bits: int, snr: np.ndarray, out: np.ndarray) -> None:
     """Write the transition matrices of the validated SNRs ``snr`` into ``out``.
 
-    ``out`` is (S, 2^b, 2^b), written in place.  The CDF at the shifted
-    thresholds is built in the lower half of each matrix (rows 2^(b-1) on,
-    columns 0..2^b - 2), the upper half is formed from it, and mirroring the
-    upper half overwrites the CDF last.  So a ``rate_ci_exact_grid`` call
-    holds two buffers of at most ``_BATCH_ENTRIES`` doubles: the matrix
-    stack, whose lower half holds the CDF first, and the terms.  The region
-    probabilities are the differences of the CDF row padded with 0 and 1, as
-    ``np.diff`` forms them in :func:`build_transition_matrix`.
+    ``out`` is (S, 2^b, 2^b), written in place, and this is the one place
+    the mirror symmetry is formed.  The CDF at the shifted thresholds is
+    built in the lower half of each matrix (rows 2^(b-1) on, columns
+    0..2^b - 2), the upper half is formed from it, and mirroring the upper
+    half overwrites the CDF last, so the CDF needs no array of its own.  The
+    region probabilities are the differences of the CDF row padded with 0
+    and 1, as ``np.diff`` forms them in :func:`build_transition_matrix`.
     """
     thresholds, levels = _pam_grid(bits, _step(bits, snr)[:, None])
     m = 2**bits

@@ -199,12 +199,12 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
     """Exact channel-inversion rate at every sub-channel SNR of a 1-D grid.
 
     Element k equals ``2 Ns discrete_mi(uniform, build_transition_matrix(bits,
-    snr_ci[k]))`` bit for bit: the matrices are built in batches of at most
-    ``_BATCH_ENTRIES`` entries, the mutual-information terms are computed
-    element-wise, and each SNR's masked terms are reduced by the same pairwise
-    sum as :func:`discrete_mi`.  A call holds two buffers of at most
-    ``_BATCH_ENTRIES`` doubles, which every batch reuses in place: the matrix
-    stack, which becomes the joint once its logs are taken, and the terms.
+    snr_ci[k]))`` bit for bit.  Each batch of at most ``_BATCH_ENTRIES``
+    entries is the whole stack that ``_fill_transition_matrices`` builds: its
+    logs and terms are taken over the stack, one reduction gives every matrix
+    with a positive joint the pairwise sum of :func:`discrete_mi`, and a matrix
+    whose joint has a zero entry is summed alone over its masked terms.  Two
+    buffers, the stack (later the joint) and the terms, serve every batch.
     One bit uses the antipodal closed form.
     """
     bits = _check_bits(bits)
@@ -214,7 +214,6 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
         # same quantity; the closed form avoids needless matrix assembly
         return _onebit_rate_from_snr(snr_ci, n_streams)
     m = 2**bits
-    half = m // 2
     prior = np.full(m, 1.0 / m)
     per_batch = max(1, min(snr_ci.size, _BATCH_ENTRIES // (m * m)))
     t = np.empty((per_batch, m, m))
@@ -228,19 +227,16 @@ def rate_ci_exact_grid(bits: int, snr_ci, n_streams: int) -> np.ndarray:
         log_marginal = np.log(marginal, where=marginal > 0, out=np.zeros_like(marginal))
         # log(0) = -inf and 0 * -inf = nan occur only where the joint is 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the lower half of each matrix mirrors the upper half, so do its logs
-            np.log(tk[:, :half], out=lk[:, :half])
-            for lj in lk:  # matrix by matrix, as in _fill_transition_matrices
-                lj[half:] = lj[:half][::-1, ::-1]
+            np.log(tk, out=lk)
             np.subtract(lk, log_marginal[:, None, :], out=lk)
             jk = np.multiply(tk, prior[0], out=tk)  # the joint; the prior is uniform
             np.multiply(jk, lk, out=lk)
-        # the joint is nonnegative, so a positive minimum means the mask
-        # selects every term in C order: the same pairwise sum
-        positive = jk.min(axis=(1, 2)) > 0
-        for j in range(k):
-            nats = float(np.sum(lk[j] if positive[j] else lk[j][jk[j] > 0]))
-            mi[start + j] = max(nats / _LN2, 0.0)
+        # each contiguous matrix is one run of m*m terms, summed pairwise as np.sum(lk[j])
+        nats = lk.sum(axis=(1, 2))
+        for j in np.flatnonzero(jk.min(axis=(1, 2)) == 0.0):
+            nats[j] = np.sum(lk[j][jk[j] > 0])
+        # not np.maximum, which turns -0.0 into +0.0 where max(-0.0, 0.0) keeps it
+        mi[start : start + k] = np.where(nats < 0.0, 0.0, nats / _LN2)
     return 2.0 * n_streams * mi
 
 
