@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_positive, _entries, _is_integer, _matrix, svd_of  # noqa: F401
+from .channel import _check_positive, _is_integer, _matrix, svd_of
 
 __all__ = [
     "RankDeficientChannelError",

@@ -390,8 +390,8 @@ def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
 def _sample_table(config: ExperimentConfig, threads: int) -> dict:
     """``(n_rf_rx, method) -> (cells, samples, outcomes)``: the method's (snr_db,
     bits) cells, the C-ordered (cells, R) array of their rates and the (R,)
-    array of each realization's ``RateMethod.outcome``.  A sample is NaN exactly
-    where its outcome is not ``"ok"``; the method's kernel fills the others."""
+    array of each realization's ``RateMethod.outcome``.  The kernel gives NaN where
+    the outcome is not ``"ok"``; a width without an analog design is NaN throughout."""
     states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], _grid(config), threads)
     table = {}
     for n_rf_rx in config.n_rf_rx:
@@ -402,7 +402,7 @@ def _sample_table(config: ExperimentConfig, threads: int) -> dict:
             samples = np.empty((len(cells), config.n_realizations))
             outcomes = np.array([spec.outcome(state) for state in row])
             for r, state in enumerate(row):
-                samples[:, r] = spec.kernel(state).ravel() if outcomes[r] == "ok" else math.nan
+                samples[:, r] = math.nan if state is None else spec.kernel(state).ravel()
             table[n_rf_rx, method] = (cells, samples, outcomes)
     return table
 

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-# _spectrum is not called here; rates re-exports channel's helper, not a copy.
-from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _is_integer, _matrix, _spectrum
+from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _is_integer, _matrix
 from .digital import RankDeficientChannelError, ci_feasible, snr_ci, svd_precoder
 # build_transition_matrix is not called here; it stays a module global
 # because perfbench's tracer wraps it by name.

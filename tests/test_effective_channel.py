@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -67,5 +68,13 @@ def test_digital_and_rates_do_not_import_the_analog_layer(module):
 
 def test_matrix_helpers_live_in_channel():
     assert not hasattr(analog, "_spectrum")
-    assert digital._entries is channel._entries
-    assert rates._spectrum is channel._spectrum
+    for path in pathlib.Path(channel.__file__).parent.glob("*.py"):
+        if path.name == "channel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in ("_entries", "_spectrum", "_matrix"), path.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in ("_entries", "_spectrum", "_matrix"), path.name
+    assert not hasattr(digital, "_spectrum")
+    assert not hasattr(rates, "_spectrum")
