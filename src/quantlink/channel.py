@@ -128,10 +128,6 @@ def _entries(m) -> np.ndarray:
     return _matrix(m).entries
 
 
-def _spectrum(m) -> np.ndarray:
-    return _matrix(m).singular_values
-
-
 def _ula_response(n_antennas: int, angles_rad: np.ndarray) -> np.ndarray:
     """Half-wavelength ULA steering vectors, one column per angle, unit norm."""
     n = np.arange(n_antennas)[:, None]

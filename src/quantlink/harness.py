@@ -22,13 +22,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import analog
 # alternating_projection runs only through _realize; it stays a module global
 # because perfbench's tracer wraps it by name.
 from .analog import (
     _projection_stream,
     alternating_projection,
-    alternating_projections,
     effective_channel,
 )
 from .channel import ClusteredChannelConfig, _check_count, _is_integer, generate_channel
@@ -307,18 +305,6 @@ def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> ChannelRates
     return _state(h, pair, n_rf_rx, _grid(config))
 
 
-def _pair_stream(hs, n_rf_tx: int, widths):
-    """``(width, channel index, pair)`` for every pair, as alternating projection finishes it.
-
-    A replaced ``alternating_projections`` global (a reference loop) still
-    designs every pair: its dict is streamed once it returns.
-    """
-    if alternating_projections is analog.alternating_projections:
-        return _projection_stream(hs, n_rf_tx, widths)
-    pairs = alternating_projections(hs, n_rf_tx, widths)
-    return ((n, i, pair) for n in pairs for i, pair in enumerate(pairs[n]))
-
-
 def _realize_all(
     config: ExperimentConfig, widths, grid: RateGrid, threads: int = 1
 ) -> dict[int, list[ChannelRates]]:
@@ -349,7 +335,7 @@ def _realize_all(
     pool = ThreadPoolExecutor(workers) if exact and workers > 0 else None
     tables = []  # (state, future) in queue order
     try:
-        for n, i, pair in _pair_stream(hs, config.n_rf_tx, widths):
+        for n, i, pair in _projection_stream(hs, config.n_rf_tx, widths):
             state = states[n][i] = _state(hs[i], pair, n, grid)
             if pool is not None:
                 # a worker runs the job in a copy of this thread's context,

@@ -207,12 +207,11 @@ def test_sweep_csv_bytes_match_single_channel_loop(tmp_path, monkeypatch):
 
     def oracle_batch(hs, n_rf_tx, n_rf_rxs, epsilon=1e-5, max_iter=1000):
         calls.append(tuple(n_rf_rxs))
-        return {
-            n: [oracle_alternating_projection(h, n_rf_tx, n, epsilon, max_iter) for h in hs]
-            for n in n_rf_rxs
-        }
+        for n in n_rf_rxs:
+            for i, h in enumerate(hs):
+                yield n, i, oracle_alternating_projection(h, n_rf_tx, n, epsilon, max_iter)
 
-    monkeypatch.setattr(harness, "alternating_projections", oracle_batch)
+    monkeypatch.setattr(harness, "_projection_stream", oracle_batch)
     reference = tmp_path / "reference.csv"
     emit_csv(run_experiment(config), reference)
 

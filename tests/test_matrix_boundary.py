@@ -100,7 +100,6 @@ def test_a_channel_matrix_passes_through_unchanged():
     h = ChannelMatrix(np.eye(2, 3))
     assert channel._matrix(h) is h
     assert channel._entries(h) is h.entries
-    assert channel._spectrum(h) is h.singular_values
 
 
 @pytest.fixture

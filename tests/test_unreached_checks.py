@@ -117,7 +117,7 @@ def test_sweep_with_no_feasible_width_writes_nan_rows_without_ap(monkeypatch):
     def no_ap(*args, **kwargs):
         raise AssertionError("alternating projection ran for an infeasible width")
 
-    monkeypatch.setattr(harness, "alternating_projections", no_ap)
+    monkeypatch.setattr(harness, "_projection_stream", no_ap)
     config = ExperimentConfig(
         n_tx=4, n_rx=4, n_rf_tx=1, n_rf_rx=(2, 3), snr_grid_db=(0.0, 10.0), bits_grid=(2,),
         n_realizations=2, methods=("ci_exact", "ub_infinite"),
