@@ -8,7 +8,7 @@ bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,12 +87,12 @@ def _check_positive(value, name: str) -> None:
 class ChannelMatrix:
     """A channel H, or effective channel G = W_RF^* H F_RF, with cached singular values.
 
-    Construction checks the entries and runs one SVD; ``singular_values``, when
-    given, must be nonincreasing and match it to a relative tolerance of 1e-10.
+    Construction checks the entries and runs one SVD; ``singular_values`` is
+    always that SVD, the matrix's own spectrum, never a constructor argument.
     """
 
     entries: np.ndarray
-    singular_values: np.ndarray | None = None
+    singular_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -100,17 +100,7 @@ class ChannelMatrix:
             raise ValueError("entries must be a nonempty 2-D complex matrix")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("entries must be finite")
-        fresh = np.linalg.svd(self.entries, compute_uv=False)
-        if self.singular_values is None:
-            self.singular_values = fresh
-            return
-        sv = self.singular_values = np.asarray(self.singular_values, dtype=float)
-        if sv.shape != fresh.shape:
-            raise ValueError("singular_values must have length min(n_rx, n_tx)")
-        if np.any(sv < 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular_values must be nonnegative and nonincreasing")
-        if np.max(np.abs(fresh - sv)) > 1e-10 * max(fresh[0], 1.0):
-            raise ValueError("singular_values do not match entries (relative tol 1e-10)")
+        self.singular_values = np.linalg.svd(self.entries, compute_uv=False)
 
     @classmethod
     def from_entries(cls, entries) -> "ChannelMatrix":

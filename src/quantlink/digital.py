@@ -129,15 +129,24 @@ def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
     unit = 2.0 ** min(0, math.frexp(gains.min())[1] + 1020 - gains.size.bit_length())
     inv = unit / gains[order]
     budget = total_power * unit
-    k = gains.size
-    while k > 1 and not inv[k - 1] - inv[:k].mean() <= budget / k:
-        k -= 1
+
+    def active(level):
+        k = gains.size
+        while k > 1 and not level[k - 1] - level[:k].mean() <= budget / k:
+            k -= 1
+        return k
+
+    k = active(inv)
     powers = np.zeros_like(gains)
     powers[order[:k]] = ((budget + inv[:k].sum()) / k - inv[:k]) / unit
     if abs(powers.sum() - total_power) > 1e-9 * total_power:
         # a 1/g_i that dwarfs the budget swallows it in mu - 1/g_i: measure
-        # each 1/g_i from the mean of the active ones instead
-        powers[order[:k]] = total_power / k - (inv[:k] - inv[:k].mean()) / unit
+        # each 1/g_i from the strongest stream's, a difference that is exact
+        # for ulp-close values, and choose the active set again from those
+        gap = inv - inv[0]
+        k = active(gap)
+        powers[:] = 0.0
+        powers[order[:k]] = total_power / k - (gap[:k] - gap[:k].mean()) / unit
     return powers
 
 

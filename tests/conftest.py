@@ -69,6 +69,16 @@ def openblas_core() -> str:
         return "unknown"
 
 
+# The OpenBLAS kernel on which the pinned floating-point bits were recorded.
+PINNED_KERNEL = "SkylakeX"
+
+
+def kernel_note() -> str:
+    """Failure text for a pinned-bits assert: the kernel the value was pinned
+    on and this run's, since the bits hold per kernel."""
+    return f"pinned on OpenBLAS core {PINNED_KERNEL}; this run: {openblas_core()}"
+
+
 def pytest_report_header(config):
     """Name the BLAS kernel: tests that pin floating-point bits hold per kernel."""
     return f"openblas core: {openblas_core()}"

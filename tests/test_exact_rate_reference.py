@@ -15,6 +15,8 @@ import pytest
 from quantlink.quantizers import build_transition_matrix
 from quantlink.rates import discrete_mi, rate_ci_exact_grid
 
+from conftest import kernel_note
+
 mp = pytest.importorskip("mpmath")
 
 # (bits, sub-channel SNRs): 31 points over b = 2..8 and SNR 1e-6..1e6.
@@ -80,9 +82,9 @@ def test_exact_rate_within_envelope_of_reference(bits):
     for snr, fast in zip(snrs, grid):
         reference = reference_mi_bits(bits, snr)
         oracle = discrete_mi(np.full(m, 1.0 / m), build_transition_matrix(bits, snr))
-        assert fast == oracle
+        assert fast == oracle, (bits, snr, kernel_note())
         rel_err = float(abs(mp.mpf(oracle) - reference) / reference)
-        assert rel_err <= envelope(snr), (bits, snr, rel_err)
+        assert rel_err <= envelope(snr), (bits, snr, rel_err, kernel_note())
 
 
 @pytest.mark.parametrize("snr", [1e-6, 1e-2, 1e0, 1e2])

@@ -2,9 +2,9 @@
 
 Alternating projection (AP) steps the precoder stack and every combiner stack
 through one helper, ``analog._project``, and keeps one record per combiner
-width.  ``waterfill`` picks its active set with one rule, the fallback pass
-changing only the power formula, and gives finite powers for subnormal
-gains.  Both precoders take their SVD from ``channel.svd_of``.
+width.  ``waterfill`` picks its active set with one rule, which the fallback
+pass applies again to each 1/g_i measured from the strongest stream's, and
+gives finite powers for subnormal and ulp-close gains.  Both precoders take their SVD from ``channel.svd_of``.
 """
 
 import ast
@@ -95,6 +95,35 @@ def test_waterfill_is_finite_over_the_whole_double_range():
         powers = waterfill(gains, total_power)
         assert np.isfinite(powers).all() and (powers >= 0).all(), (gains, total_power)
         assert abs(powers.sum() - total_power) <= 1e-6 * total_power, (gains, total_power)
+
+
+@pytest.mark.parametrize(
+    "g, total_power, third_shut_off",
+    [
+        (1.0965034500909032e-40, 3.0, True),
+        (1.560981655353627e-300, 1.0, True),
+        (2.13e-10, 3.0, False),
+    ],
+)
+def test_waterfill_spends_the_budget_when_inverse_gains_are_ulp_close(
+    g, total_power, third_shut_off
+):
+    # 1/g_i one ulp apart, where that ulp exceeds the budget (or, at 2.13e-10,
+    # is a sizeable share of it): their mean rounds onto one of them
+    powers = waterfill([g, g, np.nextafter(g, 0)], total_power)
+    assert np.isfinite(powers).all() and (powers >= 0).all(), powers
+    assert abs(powers.sum() - total_power) <= 1e-9 * total_power, powers
+    if third_shut_off:
+        assert powers[2] == 0
+
+
+def test_waterfill_over_moderate_gains_is_the_former_code_bit_for_bit():
+    rng = np.random.default_rng(3030)
+    for _ in range(10_000):
+        n = int(rng.integers(1, 9))
+        gains = 10.0 ** rng.uniform(-6, 6, n)
+        expected, _ = two_loop_waterfill(gains, float(n))
+        assert waterfill(gains, float(n)).tobytes() == expected.tobytes(), gains
 
 
 def test_svd_precoder_at_a_subnormal_snr_is_finite():

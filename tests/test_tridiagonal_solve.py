@@ -19,6 +19,8 @@ import quantlink
 import quantlink.quantizers as quantizers
 from quantlink import MAX_BITS
 
+from conftest import kernel_note
+
 # Lloyd-Max distortion factors of the 1..8-bit fixed points, exactly.
 ETA_HEX = {
     1: "0x1.7419f246c6efap-2",
@@ -133,7 +135,7 @@ def test_lloyd_max_matches_the_solve_banded_fixed_point(monkeypatch, fresh_lloyd
 
 @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
 def test_lloyd_max_eta_is_pinned_exactly(bits):
-    assert quantizers.lloyd_max(bits)[1].eta.hex() == ETA_HEX[bits]
+    assert quantizers.lloyd_max(bits)[1].eta.hex() == ETA_HEX[bits], kernel_note()
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -11,7 +11,6 @@ import pytest
 
 from quantlink import (
     AnalogPrecoderPair,
-    ChannelMatrix,
     DigitalPrecoder,
     ExperimentConfig,
     QuantizerSpec,
@@ -51,11 +50,6 @@ CASES = {
         lambda: AnalogPrecoderPair(UNIT_PHASES, UNIT_PHASES, -1e-3, 0.0, 1),
         ValueError,
         "residuals must be nonnegative",
-    ),
-    "channel_wrong_spectrum_length": (
-        lambda: ChannelMatrix(G, singular_values=[1.0, 0.5, 0.1]),
-        ValueError,
-        r"singular_values must have length min\(n_rx, n_tx\)",
     ),
     "precoder_over_budget": (
         lambda: DigitalPrecoder(np.full((2, 1), 1.0)),
