@@ -3,7 +3,7 @@
 Channels are sums of plane-wave paths grouped into clusters, observed by
 half-wavelength uniform linear arrays at both link ends.  Generation is a pure
 function of the configuration (including the seed), so realizations are
-bit-reproducible across runs and platforms.
+bit-reproducible across runs for a given BLAS kernel (README, "Reproducibility").
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "ChannelMatrix",
     "generate_channel",
     "svd_of",
-    "save_channel_matrix",
-    "load_channel_matrix",
 ]
 
 
@@ -135,7 +133,8 @@ def generate_channel(config: ClusteredChannelConfig) -> ChannelMatrix:
     offsets are zero-mean Laplacian with standard deviation equal to
     ``angle_spread_deg`` (in radians).  The PCG64 stream seeded with
     ``config.seed`` is consumed in a fixed, documented order so that equal
-    configs give bit-identical matrices:
+    configs give bit-identical matrices for a given BLAS kernel (README,
+    "Reproducibility"):
 
     1. arrival cluster centers    uniform(-pi/2, pi/2), n_clusters draws
     2. departure cluster centers  uniform(-pi/2, pi/2), n_clusters draws
@@ -177,40 +176,3 @@ def svd_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(_entries(h), full_matrices=False)
     return u, s, vh.conj().T
 
-
-def save_channel_matrix(h, path) -> None:
-    """Write a realization as text, one matrix row per line.
-
-    Entries are ``re+imj`` tokens with 17 significant digits, enough for an
-    exact float64 round trip, separated by single spaces.
-    """
-    entries = _entries(h)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in entries:
-            fh.write(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")
-
-
-def _parse_entry(token: str, number: int) -> complex:
-    try:
-        return complex(token)
-    except ValueError:
-        raise ValueError(f"line {number}: malformed entry {token!r}") from None
-
-
-def load_channel_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_channel_matrix`."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for number, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if rows and len(tokens) != len(rows[0]):
-                raise ValueError(
-                    f"line {number}: expected {len(rows[0])} entries, got {len(tokens)}"
-                )
-            rows.append([_parse_entry(tok, number) for tok in tokens])
-    if not rows:
-        raise ValueError(f"no matrix rows found in {path}")
-    return np.asarray(rows, dtype=complex)

@@ -167,8 +167,9 @@ def build_transition_matrix(bits: int, snr: float) -> TransitionMatrix:
     symbol.  Rows for the upper half of the alphabet are the mirror images of
     the lower half, which encodes the sign symmetry exactly.
 
-    This row-by-row form is the public reference oracle; the sweep uses the
-    batched :func:`build_transition_matrices`, which must match it bit for bit.
+    This row-by-row form is the public reference oracle.  The sweep's batched
+    ``_fill_transition_matrices``, called by :func:`rates.rate_ci_exact_grid`,
+    must match it bit for bit.
     """
     spec = uniform_pam_quantizer(bits, snr)
     m = 2**bits

@@ -7,8 +7,6 @@ from quantlink import (
     ChannelMatrix,
     ClusteredChannelConfig,
     generate_channel,
-    load_channel_matrix,
-    save_channel_matrix,
     svd_of,
 )
 from quantlink.analog import EffectiveChannel, alternating_projection, effective_channel
@@ -198,17 +196,3 @@ class TestSvdOf:
         with pytest.raises(ValueError, match="finite"):
             svd_of(bad)
 
-
-class TestMatrixFileRoundTrip:
-    def test_roundtrip_is_exact(self, tmp_path):
-        h = generate_channel(ClusteredChannelConfig(16, 4, seed=9))
-        path = tmp_path / "h.txt"
-        save_channel_matrix(h, path)
-        back = load_channel_matrix(path)
-        assert np.array_equal(back, h.entries)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_channel_matrix(path)

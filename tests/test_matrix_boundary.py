@@ -19,14 +19,12 @@ from quantlink import (
     effective_channel,
     evaluate,
     generate_channel,
-    load_channel_matrix,
     rate_aqnm,
     rate_ci_exact,
     rate_ci_exact_grid,
     rate_ci_fano,
     rate_ci_onebit,
     rate_ci_onebit_lb,
-    save_channel_matrix,
     snr_ci,
     svd_of,
     svd_precoder,
@@ -39,21 +37,20 @@ from quantlink import analog, channel, digital, harness, power, quantizers, rate
 # Every public function that takes a channel matrix, called with ``m`` in the
 # matrix's place and valid values everywhere else.
 MATRIX_FUNCTIONS = {
-    "snr_ci": lambda m, path: snr_ci(m, 1.0),
-    "evaluate": lambda m, path: evaluate(RateQuery(1.0, 2, 2, "ub_infinite"), m),
-    "rate_ci_onebit": lambda m, path: rate_ci_onebit(m, 1.0, 2),
-    "rate_ci_onebit_lb": lambda m, path: rate_ci_onebit_lb(m, 1.0, 2),
-    "rate_aqnm": lambda m, path: rate_aqnm(m, np.eye(2), 1.0, 0.1),
-    "ub_onebit_tight": lambda m, path: ub_onebit_tight(m, 1.0, 2),
-    "ub_onebit_loose": lambda m, path: ub_onebit_loose(m, 1.0, 2),
-    "ub_infinite": lambda m, path: ub_infinite(m, 1.0, 2),
-    "svd_precoder": lambda m, path: svd_precoder(m, 1.0, 1),
-    "channel_inversion_precoder": lambda m, path: channel_inversion_precoder(m),
-    "alternating_projection": lambda m, path: alternating_projection(m, 1, 1),
-    "alternating_projections": lambda m, path: alternating_projections([m], 1, [1]),
-    "effective_channel": lambda m, path: effective_channel(m, np.eye(2, 1), np.eye(2, 1)),
-    "svd_of": lambda m, path: svd_of(m),
-    "save_channel_matrix": lambda m, path: save_channel_matrix(m, path),
+    "snr_ci": lambda m: snr_ci(m, 1.0),
+    "evaluate": lambda m: evaluate(RateQuery(1.0, 2, 2, "ub_infinite"), m),
+    "rate_ci_onebit": lambda m: rate_ci_onebit(m, 1.0, 2),
+    "rate_ci_onebit_lb": lambda m: rate_ci_onebit_lb(m, 1.0, 2),
+    "rate_aqnm": lambda m: rate_aqnm(m, np.eye(2), 1.0, 0.1),
+    "ub_onebit_tight": lambda m: ub_onebit_tight(m, 1.0, 2),
+    "ub_onebit_loose": lambda m: ub_onebit_loose(m, 1.0, 2),
+    "ub_infinite": lambda m: ub_infinite(m, 1.0, 2),
+    "svd_precoder": lambda m: svd_precoder(m, 1.0, 1),
+    "channel_inversion_precoder": lambda m: channel_inversion_precoder(m),
+    "alternating_projection": lambda m: alternating_projection(m, 1, 1),
+    "alternating_projections": lambda m: alternating_projections([m], 1, [1]),
+    "effective_channel": lambda m: effective_channel(m, np.eye(2, 1), np.eye(2, 1)),
+    "svd_of": lambda m: svd_of(m),
 }
 
 BAD_MATRICES = {
@@ -66,15 +63,13 @@ BAD_MATRICES = {
 
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 @pytest.mark.parametrize("name", MATRIX_FUNCTIONS)
-def test_bad_matrix_raises_the_construction_error(name, bad, tmp_path):
+def test_bad_matrix_raises_the_construction_error(name, bad):
     m, message = BAD_MATRICES[bad]
-    path = tmp_path / "h.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message) as info:
-            MATRIX_FUNCTIONS[name](m, path)
+            MATRIX_FUNCTIONS[name](m)
     assert type(info.value) is ValueError
-    assert not path.exists()
 
 
 def test_every_public_matrix_function_is_covered():
@@ -196,30 +191,6 @@ def test_alternating_projections_needs_one_channel_shape():
     message = r"hs\[2\] has shape \(8, 16\), but hs\[0\] has shape \(4, 16\)"
     with pytest.raises(ValueError, match=message):
         alternating_projections(hs, 2, [2])
-
-
-# --- the matrix file reader names the line -----------------------------------
-
-def test_load_names_a_ragged_line(tmp_path):
-    path = tmp_path / "h.txt"
-    path.write_text("1+0j 2+0j 3+0j\n\n4+0j 5+0j\n")
-    with pytest.raises(ValueError, match=r"^line 3: expected 3 entries, got 2$"):
-        load_channel_matrix(path)
-
-
-def test_load_names_a_malformed_entry(tmp_path):
-    path = tmp_path / "h.txt"
-    path.write_text("1+0j 2+0j\n3+0j 4+x0j\n")
-    with pytest.raises(ValueError, match=r"^line 2: malformed entry '4\+x0j'$"):
-        load_channel_matrix(path)
-
-
-def test_load_still_returns_a_plain_array(tmp_path):
-    path = tmp_path / "h.txt"
-    save_channel_matrix(np.array([[1.0, 2.0j], [3.0, 4.0]]), path)
-    back = load_channel_matrix(path)
-    assert type(back) is np.ndarray
-    assert np.array_equal(back, [[1.0, 2.0j], [3.0, 4.0]])
 
 
 # --- tooling guard: no second, unchecked matrix path -------------------------
