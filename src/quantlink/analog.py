@@ -20,7 +20,6 @@ __all__ = [
     "AnalogPrecoderPair",
     "EffectiveChannel",
     "alternating_projection",
-    "alternating_projections",
     "effective_channel",
 ]
 
@@ -100,49 +99,21 @@ def _project(stack: np.ndarray):
     return tilde, hat, _frobenius_norms(hat - tilde) / math.sqrt(stack.shape[-1])
 
 
-def alternating_projections(
-    hs,
-    n_rf_tx: int,
-    n_rf_rxs,
-    epsilon: float = 1e-5,
-    max_iter: int = 1000,
-) -> dict[int, list[AnalogPrecoderPair]]:
-    """Alternating projection for several channels and combiner widths at once.
-
-    The channels of ``hs`` must share one shape.  Returns
-    ``{n_rf_rx: [pair for each channel of hs]}``, where each pair is
-    bit for bit what :func:`alternating_projection` gives for that channel
-    and width.  The precoder iterate does not depend on the combiner width,
-    so one precoder stack over the channels and one combiner stack per width
-    are stepped together through the same stacked LAPACK, BLAS and
-    element-wise calls the single-channel loop makes.  Every (channel, width)
-    pair keeps its own stopping test, iteration cap and closing check; a
-    finished pair leaves its combiner stack, and a channel leaves the
-    precoder stack once all of its widths have finished.
-
-    Raises
-    ------
-    DegenerateIterateError
-        If a projected iterate of any channel becomes rank deficient.
-    RuntimeError
-        If a pair's final projection distance exceeds its first one, which
-        alternating projection between closed sets rules out.
-    """
-    hs = list(hs)
-    out = {n: [None] * len(hs) for n in n_rf_rxs}
-    for n, i, pair in _projection_stream(hs, n_rf_tx, n_rf_rxs, epsilon, max_iter):
-        out[n][i] = pair
-    return out
-
-
 def _projection_stream(
     hs, n_rf_tx: int, n_rf_rxs, epsilon: float = 1e-5, max_iter: int = 1000
 ):
-    """The batch of :func:`alternating_projections`, one pair at a time.
+    """Alternating projection for channels ``hs`` of one shape at every width in ``n_rf_rxs``.
 
-    Yields ``(n_rf_rx, channel index, pair)`` as each pair passes its closing
-    check, so pairs that stop early can be used while the rest iterate.  Each
-    (width, channel) pair is yielded once.
+    Yields ``(n_rf_rx, channel index, pair)`` once per (width, channel), as
+    the pair passes its closing check, so pairs that stop early can be used
+    while the rest iterate.  Each pair is bit for bit what a loop over that
+    one channel and width gives: the precoder iterate does not depend on the
+    combiner width, so one precoder stack over the channels and one combiner
+    stack per width step through the same stacked LAPACK, BLAS and
+    element-wise calls, and each pair keeps its own stopping test, iteration
+    cap and closing check.  A finished pair leaves its combiner stack, and a
+    channel leaves the precoder stack once all of its widths have finished.
+    Raises as :func:`alternating_projection` does, for any channel.
     """
     entries = [_entries(h) for h in hs]
     if not entries:
@@ -237,8 +208,8 @@ def alternating_projection(
 
     The returned matrices are the fixed-modulus iterates, which the hardware
     can realize exactly; the residuals quantify how far they are from
-    semi-unitary.  This is :func:`alternating_projections` for one channel
-    and one width.
+    semi-unitary.  This is :func:`_projection_stream` for one channel and
+    one width.
 
     Raises
     ------
@@ -248,7 +219,8 @@ def alternating_projection(
         If the final projection distance exceeds the first one, which
         alternating projection between closed sets rules out.
     """
-    return alternating_projections([h], n_rf_tx, [n_rf_rx], epsilon, max_iter)[n_rf_rx][0]
+    ((_, _, pair),) = _projection_stream([h], n_rf_tx, [n_rf_rx], epsilon, max_iter)
+    return pair
 
 
 def effective_channel(h, w_rf, f_rf=None) -> ChannelMatrix:

@@ -22,8 +22,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-# alternating_projection runs only through _realize; it stays a module global
-# because perfbench's tracer wraps it by name.
+# alternating_projection is not called here; it stays a module global because
+# perfbench's tracer wraps it by name.
 from .analog import (
     _projection_stream,
     alternating_projection,
@@ -297,12 +297,6 @@ def _grid(config: ExperimentConfig) -> RateGrid:
     rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db])
     etas = np.array([lloyd_max(bits)[1].eta for bits in config.bits_grid])
     return RateGrid(rhos, config.bits_grid, etas)
-
-
-def _realize(config: ExperimentConfig, n_rf_rx: int, index: int) -> ChannelRates:
-    h = _channel(config, index)
-    pair = alternating_projection(h, config.n_rf_tx, n_rf_rx)
-    return _state(h, pair, n_rf_rx, _grid(config))
 
 
 def _realize_all(

@@ -1,7 +1,7 @@
 """The sweep designs its analog pairs on one path.
 
-``harness._realize_all`` iterates ``analog._projection_stream`` itself; no
-branch picks between the stream and a batch dict.  A test that replaces the
+``harness._realize_all`` iterates ``analog._projection_stream`` itself, and
+no second route from a config to a channel state sits beside it.  A test that replaces the
 pair designer replaces ``harness._projection_stream``, the generator the sweep
 calls, so every harness global that a test swaps is a name the sweep calls
 or passes on, and none is compared by identity.
@@ -12,7 +12,7 @@ import inspect
 import textwrap
 from pathlib import Path
 
-from quantlink import harness
+from quantlink import analog, harness
 
 TESTS = Path(__file__).resolve().parent
 HARNESS_TREE = ast.parse(inspect.getsource(harness))
@@ -63,6 +63,8 @@ def _compared_by_identity():
 def test_realize_all_iterates_the_projection_stream():
     assert "analog" not in vars(harness)
     assert "alternating_projections" not in vars(harness)
+    assert not hasattr(analog, "alternating_projections")
+    assert "_realize" not in vars(harness)
     assert "_pair_stream" not in vars(harness)
     tree = ast.parse(textwrap.dedent(inspect.getsource(harness._realize_all)))
     called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}

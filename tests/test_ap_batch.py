@@ -1,4 +1,5 @@
-"""Batched alternating projection against the single-channel loop it replaces.
+"""Batched alternating projection, ``analog._projection_stream``, against the
+single-channel loop it replaces.
 
 ``oracle_alternating_projection`` is the per-channel loop the package ran
 before the batched kernel, kept here verbatim as the reference: the kernel
@@ -20,7 +21,7 @@ from quantlink import (
     generate_channel,
     run_experiment,
 )
-from quantlink.analog import _frobenius_norms, _nearest_semi_unitary, alternating_projections
+from quantlink.analog import _frobenius_norms, _nearest_semi_unitary, _projection_stream
 
 
 def oracle_phase_project(a, modulus):
@@ -101,16 +102,14 @@ def test_batch_matches_single_channel_loop(n_rf_tx):
     """24 channels x widths 1..8; n_rf_tx = 12 exceeds n_rx = 8, so the
     precoder starts from null-space columns of V."""
     channels = clustered_channels(24)
-    got = alternating_projections(channels, n_rf_tx, WIDTHS, max_iter=MAX_ITER)
-    assert sorted(got) == list(WIDTHS)
-    iterations, converged = set(), 0
-    for n_rf_rx in WIDTHS:
-        assert len(got[n_rf_rx]) == len(channels)
-        for h, pair in zip(channels, got[n_rf_rx]):
-            want = oracle_alternating_projection(h, n_rf_tx, n_rf_rx, max_iter=MAX_ITER)
-            assert_same_pair(pair, want)
-            iterations.add(want.iterations)
-            converged += want.converged
+    seen, iterations, converged = [], set(), 0
+    for n_rf_rx, i, pair in _projection_stream(channels, n_rf_tx, WIDTHS, max_iter=MAX_ITER):
+        want = oracle_alternating_projection(channels[i], n_rf_tx, n_rf_rx, max_iter=MAX_ITER)
+        assert_same_pair(pair, want)
+        seen.append((n_rf_rx, i))
+        iterations.add(want.iterations)
+        converged += want.converged
+    assert sorted(seen) == [(n, i) for n in WIDTHS for i in range(len(channels))]
     # pairs stop at many different iterations, so the stacks compact often
     assert len(iterations) > 20
     assert 0 < converged < len(WIDTHS) * len(channels)
@@ -118,21 +117,23 @@ def test_batch_matches_single_channel_loop(n_rf_tx):
 
 def test_batch_matches_loop_at_iteration_cap():
     channels = clustered_channels(24, first_seed=300)
-    got = alternating_projections(channels, 8, WIDTHS, epsilon=1e-9, max_iter=3)
-    for n_rf_rx in WIDTHS:
-        for h, pair in zip(channels, got[n_rf_rx]):
-            want = oracle_alternating_projection(h, 8, n_rf_rx, epsilon=1e-9, max_iter=3)
-            assert_same_pair(pair, want)
-            assert pair.iterations == 3 and not pair.converged
+    count = 0
+    for n_rf_rx, i, pair in _projection_stream(channels, 8, WIDTHS, epsilon=1e-9, max_iter=3):
+        want = oracle_alternating_projection(channels[i], 8, n_rf_rx, epsilon=1e-9, max_iter=3)
+        assert_same_pair(pair, want)
+        assert pair.iterations == 3 and not pair.converged
+        count += 1
+    assert count == len(WIDTHS) * len(channels)
 
 
 def test_batch_matches_loop_with_tight_threshold():
     channels = clustered_channels(12, first_seed=500)
-    got = alternating_projections(channels, 8, WIDTHS, epsilon=1e-9, max_iter=MAX_ITER)
-    for n_rf_rx in WIDTHS:
-        for h, pair in zip(channels, got[n_rf_rx]):
-            want = oracle_alternating_projection(h, 8, n_rf_rx, epsilon=1e-9, max_iter=MAX_ITER)
-            assert_same_pair(pair, want)
+    count = 0
+    for n_rf_rx, i, pair in _projection_stream(channels, 8, WIDTHS, epsilon=1e-9, max_iter=MAX_ITER):
+        want = oracle_alternating_projection(channels[i], 8, n_rf_rx, epsilon=1e-9, max_iter=MAX_ITER)
+        assert_same_pair(pair, want)
+        count += 1
+    assert count == len(WIDTHS) * len(channels)
 
 
 def test_first_iteration_stop_matches_loop():
@@ -141,11 +142,11 @@ def test_first_iteration_stop_matches_loop():
     n = 8
     d = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
     channels = [d @ np.diag(np.arange(n, 0, -1) + shift) @ d.conj().T for shift in (0.0, 0.5)]
-    got = alternating_projections(channels, 4, (1, 3))
-    for n_rf_rx in (1, 3):
-        for h, pair in zip(channels, got[n_rf_rx]):
-            assert pair.iterations == 1
-            assert_same_pair(pair, oracle_alternating_projection(h, 4, n_rf_rx))
+    stream = list(_projection_stream(channels, 4, (1, 3)))
+    assert sorted((n, i) for n, i, _ in stream) == [(1, 0), (1, 1), (3, 0), (3, 1)]
+    for n_rf_rx, i, pair in stream:
+        assert pair.iterations == 1
+        assert_same_pair(pair, oracle_alternating_projection(channels[i], 4, n_rf_rx))
 
 
 def test_single_channel_wrapper_is_the_batch_kernel():
@@ -155,13 +156,13 @@ def test_single_channel_wrapper_is_the_batch_kernel():
 
 def test_duplicate_widths_give_one_entry():
     channels = clustered_channels(2)
-    got = alternating_projections(channels, 8, (4, 2, 4))
-    assert list(got) == [4, 2]
+    stream = _projection_stream(channels, 8, (4, 2, 4))
+    assert sorted((n, i) for n, i, _ in stream) == [(2, 0), (2, 1), (4, 0), (4, 1)]
 
 
 def test_width_validation_covers_every_width():
     with pytest.raises(ValueError, match="n_rf_rx"):
-        alternating_projections(clustered_channels(2), 8, (2, 9))
+        next(_projection_stream(clustered_channels(2), 8, (2, 9)))
 
 
 def test_degenerate_member_of_a_stack_raises():

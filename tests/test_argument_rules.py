@@ -25,7 +25,6 @@ from quantlink import (
     PowerModelParams,
     RateQuery,
     alternating_projection,
-    alternating_projections,
     build_transition_matrices,
     discrete_mi,
     energy_efficiency,
@@ -42,6 +41,7 @@ from quantlink import (
     ub_onebit_tight,
     waterfill,
 )
+from quantlink.analog import _projection_stream
 
 from conftest import make_channel
 
@@ -162,7 +162,7 @@ def test_discrete_mi_rejects_nan(prior, transition, message):
         (lambda: alternating_projection(H, 2.5, 2), "n_rf_tx must be in [1, 8], got 2.5"),
         (lambda: alternating_projection(H, True, 2), "n_rf_tx must be in [1, 8], got True"),
         (lambda: alternating_projection(H, 2, True), "n_rf_rx must be in [1, 4], got True"),
-        (lambda: alternating_projections([H], 2, [2, 1.5]), "n_rf_rx must be in [1, 4], got 1.5"),
+        (lambda: next(_projection_stream([H], 2, [2, 1.5])), "n_rf_rx must be in [1, 4], got 1.5"),
     ],
 )
 def test_stream_and_chain_counts_reject_bools_and_fractions(call, message):

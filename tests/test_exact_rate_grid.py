@@ -103,7 +103,7 @@ def test_sweep_csv_bytes_match_scalar_oracle(tmp_path, monkeypatch):
         methods=("ci_exact", "ci_fano", "aqnm_svd", "hybrid"),
         master_seed=2,
     )
-    feasible = [harness._realize(config, 2, i).ci_feasible for i in range(4)]
+    feasible = [state.ci_feasible for state in harness._realize_all(config, [2], harness._grid(config))[2]]
     assert feasible == [True, True, False, True]
 
     shipped = tmp_path / "shipped.csv"

@@ -31,7 +31,7 @@ FEASIBLE = (0, 1, 3)
 
 @pytest.fixture(scope="module")
 def states():
-    return [harness._realize(CONFIG, 2, i) for i in range(CONFIG.n_realizations)]
+    return harness._realize_all(CONFIG, [2], harness._grid(CONFIG))[2]
 
 
 def test_feasibility_of_the_config(states):

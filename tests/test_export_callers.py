@@ -1,10 +1,17 @@
-"""Every name that ``quantlink`` exports has a caller, or a stated reason to stay.
+"""Every name that ``quantlink`` exports has a caller, or a stated reason to stay,
+and every function and class that it does not export is reached from one that runs.
 
 A name counts as called when some ``quantlink`` module reads it (a name or
 attribute load, or an import) outside its own definition, or when it appears
 as a word in ``perfbench/*.py`` or README.md.  The few exported names with no
 such caller are listed, each with its reason, in ``UNCALLED_EXPORTS``; any
 other uncalled name is code the system does not need.
+
+A module-level function or class is reached when a root names it: an
+``__all__`` entry, a module-level statement, a relative import by another
+module, or a function of ``cli.py``; or, transitively, when the body of a
+reached definition loads it as a name or attribute.  Names are matched
+without their module, so a definition is reached when any of that name is.
 """
 
 import ast
@@ -75,3 +82,38 @@ def test_export_has_a_caller_or_a_listed_reason(name):
 def test_listed_export_is_exported_and_has_no_caller(name):
     assert name in quantlink.__all__
     assert name in _uncalled()
+
+
+def _loads(node):
+    """Names that ``node`` loads as a name or an attribute."""
+    return {
+        x.id if isinstance(x, ast.Name) else x.attr
+        for x in ast.walk(node)
+        if isinstance(x, (ast.Name, ast.Attribute)) and isinstance(x.ctx, ast.Load)
+    }
+
+
+def _unreached_definitions():
+    """Module-level functions and classes of ``quantlink`` that no root reaches."""
+    defs, roots = {}, set(quantlink.__all__)
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if path.name == "cli.py":
+                    roots.add(node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                roots.update(alias.name for alias in node.names)
+            else:
+                roots.update(_loads(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(load for node in defs.get(name, ()) for load in _loads(node))
+    return set(defs) - reached
+
+
+def test_every_definition_is_reached_from_a_root():
+    assert _unreached_definitions() == set()

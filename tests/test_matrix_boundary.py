@@ -14,7 +14,6 @@ from quantlink import (
     ClusteredChannelConfig,
     RateQuery,
     alternating_projection,
-    alternating_projections,
     channel_inversion_precoder,
     effective_channel,
     evaluate,
@@ -48,7 +47,6 @@ MATRIX_FUNCTIONS = {
     "svd_precoder": lambda m: svd_precoder(m, 1.0, 1),
     "channel_inversion_precoder": lambda m: channel_inversion_precoder(m),
     "alternating_projection": lambda m: alternating_projection(m, 1, 1),
-    "alternating_projections": lambda m: alternating_projections([m], 1, [1]),
     "effective_channel": lambda m: effective_channel(m, np.eye(2, 1), np.eye(2, 1)),
     "svd_of": lambda m: svd_of(m),
 }
@@ -186,11 +184,11 @@ def test_rate_ci_onebit_lb_needs_a_stream(g24):
 
 # --- one channel shape per AP batch ------------------------------------------
 
-def test_alternating_projections_needs_one_channel_shape():
+def test_projection_stream_needs_one_channel_shape():
     hs = [generate_channel(ClusteredChannelConfig(16, n_rx, seed=3)) for n_rx in (4, 4, 8)]
     message = r"hs\[2\] has shape \(8, 16\), but hs\[0\] has shape \(4, 16\)"
     with pytest.raises(ValueError, match=message):
-        alternating_projections(hs, 2, [2])
+        next(analog._projection_stream(hs, 2, [2]))
 
 
 # --- tooling guard: no second, unchecked matrix path -------------------------

@@ -239,7 +239,8 @@ def test_sweep_csv_bytes_match_per_cell_oracle(config, tmp_path):
 
 
 def test_ill_conditioned_config_has_an_infeasible_realization():
-    feasible = [harness._realize(ILL_CONDITIONED, 2, i).ci_feasible for i in range(4)]
+    states = harness._realize_all(ILL_CONDITIONED, [2], harness._grid(ILL_CONDITIONED))[2]
+    feasible = [state.ci_feasible for state in states[:4]]
     assert feasible == [True, True, False, True]
 
 
@@ -346,7 +347,7 @@ def test_every_method_runs_through_evaluate_and_the_sweep(method):
     records = run_experiment(config)
     assert {r.bits for r in records} == set(METHODS[method].cell_bits(config.bits_grid))
     assert len(records) == 2 * len(METHODS[method].cell_bits(config.bits_grid))
-    state = harness._realize(config, 2, 0)
+    state = harness._realize_all(config, [2], harness._grid(config))[2][0]
     for r in records:
         query = RateQuery(10.0 ** (r.snr_db / 10.0), 2, max(r.bits, 1), method)
         result = evaluate(query, state.g, h=state.h)

@@ -17,8 +17,8 @@ import pytest
 
 import quantlink.analog as analog
 import quantlink.harness as harness
-from quantlink import DegenerateIterateError, ExperimentConfig, emit_csv, run_experiment
-from quantlink.analog import _projection_stream, alternating_projections
+from quantlink import DegenerateIterateError, ExperimentConfig, alternating_projection, emit_csv, run_experiment
+from quantlink.analog import _projection_stream
 
 from conftest import make_channel
 
@@ -207,7 +207,7 @@ def test_ap_failure_midway_leaves_no_thread(monkeypatch, started, cpus):
     assert threading.active_count() == baseline  # the pool is joined on exit
 
 
-def test_stream_yields_each_pair_once_and_collects_to_the_batch():
+def test_stream_yields_each_pair_once_as_the_single_pair_design():
     hs = [make_channel(seed) for seed in range(4)]
     widths = (1, 4, 2, 4)
     stream = list(_projection_stream(hs, 8, widths))
@@ -217,10 +217,8 @@ def test_stream_yields_each_pair_once_and_collects_to_the_batch():
     iterations = [pair.iterations for _, _, pair in stream]
     assert iterations == sorted(iterations)  # pairs come out as they finish
 
-    batch = alternating_projections(hs, 8, widths)
-    assert list(batch) == [1, 4, 2]
     for n, i, pair in stream:
-        want = batch[n][i]
+        want = alternating_projection(hs[i], 8, n)
         assert np.array_equal(pair.f_rf, want.f_rf) and np.array_equal(pair.w_rf, want.w_rf)
         assert (pair.residual_f, pair.residual_w, pair.iterations, pair.converged) == (
             want.residual_f, want.residual_w, want.iterations, want.converged

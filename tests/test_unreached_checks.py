@@ -1,7 +1,8 @@
 """One case for each input check that the rest of the suite never trips.
 
-Each case calls a public function or constructor with exactly one bad input
-and expects the check's own exception type and message.
+Each case calls a public function, a constructor or the sweep's AP stream
+``analog._projection_stream`` with exactly one bad input and expects the
+check's own exception type and message.
 """
 
 import math
@@ -17,7 +18,7 @@ from quantlink import (
     RateQuery,
     RateResult,
     TransitionMatrix,
-    alternating_projections,
+    alternating_projection,
     discrete_mi,
     pam_error_probability,
     rate_aqnm,
@@ -25,6 +26,7 @@ from quantlink import (
     svd_precoder,
 )
 from quantlink import harness
+from quantlink.analog import _projection_stream
 
 from conftest import make_channel
 
@@ -39,10 +41,10 @@ PAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 
 CASES = {
     "ap_without_channels": (
-        lambda: alternating_projections([], 2, [2]), ValueError, "hs must hold at least one channel"
+        lambda: next(_projection_stream([], 2, [2])), ValueError, "hs must hold at least one channel"
     ),
     "ap_zero_iterations": (
-        lambda: alternating_projections([make_channel(0, 8, 4)], 2, [2], max_iter=0),
+        lambda: alternating_projection(make_channel(0, 8, 4), 2, 2, max_iter=0),
         ValueError,
         "max_iter must be at least 1",
     ),
