@@ -184,6 +184,18 @@ def test_rate_ci_onebit_lb_needs_a_stream(g24):
 
 # --- one channel shape per AP batch ------------------------------------------
 
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+def test_projection_stream_raises_the_construction_error(bad):
+    """The sweep's batch AP path checks every channel as the public functions do."""
+    m, message = BAD_MATRICES[bad]
+    good = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as info:
+            next(analog._projection_stream([good, m], 1, [1]))
+    assert type(info.value) is ValueError
+
+
 def test_projection_stream_needs_one_channel_shape():
     hs = [generate_channel(ClusteredChannelConfig(16, n_rx, seed=3)) for n_rx in (4, 4, 8)]
     message = r"hs\[2\] has shape \(8, 16\), but hs\[0\] has shape \(4, 16\)"
