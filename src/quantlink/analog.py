@@ -18,7 +18,6 @@ from .channel import ChannelMatrix, _check_count, _check_positive, _entries, _is
 __all__ = [
     "DegenerateIterateError",
     "AnalogPrecoderPair",
-    "EffectiveChannel",
     "alternating_projection",
     "effective_channel",
 ]
@@ -27,8 +26,6 @@ __all__ = [
 class DegenerateIterateError(RuntimeError):
     """A projected iterate lost column rank, so its inverse square root does not exist."""
 
-
-EffectiveChannel = ChannelMatrix  # G = W_RF^* H F_RF, checked at construction like H
 
 _EPS = np.finfo(float).eps
 
@@ -238,4 +235,4 @@ def effective_channel(h, w_rf, f_rf=None) -> ChannelMatrix:
         raise ValueError(
             f"shape mismatch: H is {entries.shape}, W_RF is {w.shape}, F_RF is {f.shape}"
         )
-    return ChannelMatrix.from_entries(w.conj().T @ entries @ f)
+    return ChannelMatrix(w.conj().T @ entries @ f)

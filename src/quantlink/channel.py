@@ -100,12 +100,6 @@ class ChannelMatrix:
             raise ValueError("entries must be finite")
         self.singular_values = np.linalg.svd(self.entries, compute_uv=False)
 
-    @classmethod
-    def from_entries(cls, entries) -> "ChannelMatrix":
-        return cls(entries)
-
-    from_matrix = from_entries  # the name EffectiveChannel callers know
-
 
 def _matrix(m) -> ChannelMatrix:
     """A matrix argument as a ChannelMatrix: ``m`` itself, or ``m`` checked and decomposed once."""
@@ -163,7 +157,7 @@ def generate_channel(config: ClusteredChannelConfig) -> ChannelMatrix:
     a_tx = _ula_response(n_tx, phi)
     h = (a_rx * gains.ravel()[None, :]) @ a_tx.conj().T
     h *= np.sqrt(n_tx * n_rx / (n_c * n_l))
-    return ChannelMatrix.from_entries(h)
+    return ChannelMatrix(h)
 
 
 def svd_of(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,26 +2,22 @@
 
     quantlink run --config sim.cfg [--out results.csv] [--seed 7] [--threads 4]
     quantlink validate --config sim.cfg
-    quantlink tables --quantizers
+    quantlink tables
 
 Exit codes: 0 on success, 1 on configuration errors (a --seed or --threads
-that is not an integer included), 2 on runtime errors.  The QUANTLINK_THREADS
-environment variable sets the default thread count; the --threads flag
-overrides it.  How threads are used is stated in ``harness._realize_all``;
-the CSV bytes never depend on the thread count.
+that is not an integer included), 2 on runtime errors.  The thread count
+defaults to 1; how threads are used is stated in ``harness._realize_all``,
+and the CSV bytes never depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .harness import ConfigError, emit_csv, load_config, run_experiment
 from .quantizers import MAX_BITS, high_resolution_distortion, lloyd_max
-
-THREADS_ENV_VAR = "QUANTLINK_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,6 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", help="master seed override (an integer)")
     run.add_argument(
         "--threads",
+        default="1",
         help="threads for the exact-rate tables (see the README's Command line "
         "section); the output does not depend on it",
     )
@@ -44,12 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a config file and exit")
     val.add_argument("--config", required=True, help="path to the experiment config file")
 
-    tab = sub.add_parser("tables", help="print built-in quantizer tables")
-    tab.add_argument(
-        "--quantizers",
-        action="store_true",
-        help="print Lloyd-Max distortion factors and levels for 1..8 bits",
-    )
+    sub.add_parser("tables", help="print Lloyd-Max distortion factors and levels for 1..8 bits")
     return parser
 
 
@@ -60,16 +52,6 @@ def _integer(raw: str, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    value = _integer(raw, THREADS_ENV_VAR)
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be at least 1, got {value}")
-    return value
-
-
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
@@ -77,7 +59,7 @@ def _cmd_run(args) -> int:
             config = dataclasses.replace(config, master_seed=_integer(args.seed, "--seed"))
         if args.out is not None:
             config = dataclasses.replace(config, output_path=args.out)
-        threads = _default_threads() if args.threads is None else _integer(args.threads, "--threads")
+        threads = _integer(args.threads, "--threads")
         if threads < 1:
             raise ConfigError("--threads must be at least 1")
     except (ConfigError, OSError) as exc:
@@ -105,9 +87,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if not args.quantizers:
-        print("nothing to print; pass --quantizers", file=sys.stderr)
-        return 1
     print("bits  eta                high_res_approx     levels")
     for bits in range(1, MAX_BITS + 1):
         spec, dist = lloyd_max(bits)

@@ -39,7 +39,6 @@ from .quantizers import MAX_BITS, lloyd_max
 from .rates import (
     METHODS,
     OUTCOMES,
-    RATE_METHODS,
     ChannelRates,
     RateGrid,
     rate_aqnm,
@@ -55,7 +54,6 @@ from .rates import (
 __all__ = [
     "ConfigError",
     "EXPERIMENTS",
-    "HARNESS_METHODS",
     "CSV_HEADER",
     "ExperimentConfig",
     "ResultRecord",
@@ -73,9 +71,6 @@ EXPERIMENTS = (
     "power_rate_tradeoff",
     "ee_vs_bits",
 )
-
-# The methods a config may name: every entry of rates.METHODS.
-HARNESS_METHODS = RATE_METHODS
 
 # SNRs lie in [-MAX_SNR_DB, MAX_SNR_DB] dB: rho in [1e-30, 1e30] keeps every rate finite.
 MAX_SNR_DB = 300
@@ -260,9 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and parse a UTF-8 config file; text that is not UTF-8 is a :class:`ConfigError`."""
+    """Read and parse a UTF-8 config file, BOM allowed; text that is not UTF-8 is a :class:`ConfigError`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -38,7 +38,6 @@ from .quantizers import (
 
 __all__ = [
     "METHODS",
-    "RATE_METHODS",
     "ChannelRates",
     "RateGrid",
     "RateMethod",
@@ -511,8 +510,6 @@ METHODS: dict[str, RateMethod] = {
     # SVD rates at the same resolution, or the SVD rate alone if CI is infeasible
     "hybrid": RateMethod("bits", _hybrid_kernel, reads_ci_exact=True, needs="full_rank"),
 }
-
-RATE_METHODS = tuple(METHODS)
 
 
 def evaluate(query: RateQuery, g, h=None) -> RateResult:

@@ -228,7 +228,7 @@ def test_criterion_10_property_suites(links, tmp_path):
         assert abs(discrete_mi(prior, t) - brute) <= 1e-12
 
     # bound chain on 200 random instances
-    from quantlink import EffectiveChannel
+    from quantlink import ChannelMatrix
 
     for _ in range(200):
         n_s = int(rng.integers(1, 5))
@@ -236,8 +236,8 @@ def test_criterion_10_property_suites(links, tmp_path):
         h = rng.standard_normal((n_rx_dim, n_tx_dim)) + 1j * rng.standard_normal((n_rx_dim, n_tx_dim))
         w = random_semi_unitary(rng, n_rx_dim, n_s)
         f = random_semi_unitary(rng, n_tx_dim, n_s + 2)
-        g = EffectiveChannel.from_matrix(w.conj().T @ h @ f)
-        h_wrapped = EffectiveChannel.from_matrix(h)
+        g = ChannelMatrix(w.conj().T @ h @ f)
+        h_wrapped = ChannelMatrix(h)
         rho = float(10.0 ** rng.uniform(-2, 2))
         bits = int(rng.integers(1, 5))
         snr_sub = snr_ci(g, rho)

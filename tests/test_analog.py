@@ -96,7 +96,9 @@ class TestAnalogPrecoderPairInvariants:
             AnalogPrecoderPair(f_rf=f, w_rf=w, residual_f=0.0, residual_w=0.0, iterations=1)
 
 
-class TestEffectiveChannel:
+class TestEffectiveG:
+    """effective_channel: G = W_RF^* H F_RF."""
+
     def test_unconstrained_singular_vectors_diagonalize(self):
         """Using the top singular vectors directly (ignoring the hardware
         constraint) must reproduce the top singular values on the diagonal."""

@@ -9,7 +9,7 @@ from quantlink import (
     generate_channel,
     svd_of,
 )
-from quantlink.analog import EffectiveChannel, alternating_projection, effective_channel
+from quantlink.analog import alternating_projection, effective_channel
 
 # Monte-Carlo estimate of E[||H||_F^2]/(n_tx n_rx) over seeds 0..999 with the
 # reference geometry, pinned once as a regression constant.
@@ -111,10 +111,10 @@ class TestGenerateChannel:
 
 
 class TestChannelMatrixInvariants:
-    def test_from_entries_roundtrip(self):
+    def test_constructor_roundtrip(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        h = ChannelMatrix.from_entries(a)
+        h = ChannelMatrix(a)
         np.testing.assert_allclose(
             h.singular_values, np.linalg.svd(a, compute_uv=False), rtol=0, atol=0
         )
@@ -123,7 +123,7 @@ class TestChannelMatrixInvariants:
 class TestSingleDecomposition:
     """A matrix built from entries is checked first, then decomposed once."""
 
-    def test_from_entries_runs_one_svd(self, monkeypatch):
+    def test_constructor_runs_one_svd(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
 
@@ -132,22 +132,22 @@ class TestSingleDecomposition:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        ChannelMatrix.from_entries(np.eye(3, 5))
+        ChannelMatrix(np.eye(3, 5))
         assert calls == [{"compute_uv": False}]
 
     def test_singular_values_are_the_svd_of_the_entries(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        h = ChannelMatrix.from_entries(a)
+        h = ChannelMatrix(a)
         assert np.array_equal(h.singular_values, np.linalg.svd(a, compute_uv=False))
 
     def test_non_finite_entries_rejected_before_the_svd(self):
         with pytest.raises(ValueError, match="entries must be finite"):
-            EffectiveChannel.from_matrix([[np.nan, 0], [0, 1]])
+            ChannelMatrix([[np.nan, 0], [0, 1]])
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError, match="nonempty 2-D"):
-            ChannelMatrix.from_entries(np.zeros((0, 3)))
+            ChannelMatrix(np.zeros((0, 3)))
 
     def test_spectrum_is_not_an_input(self):
         entries = np.diag([1.0, 3.0])

@@ -1,8 +1,15 @@
-"""Command line interface: exit codes, overrides, and table output."""
+"""Command line interface: exit codes, overrides, table output, and the
+README's command block, which names exactly the parser's subcommands and flags."""
+
+import argparse
+import re
+from pathlib import Path
 
 import numpy as np
 
-from quantlink.cli import THREADS_ENV_VAR, main
+from quantlink.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 VALID_CONFIG = """
 experiment = rate_vs_snr
@@ -47,20 +54,6 @@ class TestRun:
         assert len(lines) == 2
         assert lines[1].endswith(",99")  # master_seed override lands in the record
 
-    def test_thread_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        out_env = tmp_path / "env.csv"
-        out_flag = tmp_path / "flag.csv"
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        assert main(["run", "--config", str(cfg), "--out", str(out_env)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(out_flag), "--threads", "1"]) == 0
-        assert out_env.read_bytes() == out_flag.read_bytes()
-
-    def test_bad_env_var_is_config_error(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        assert main(["run", "--config", str(cfg)]) == 1
-
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -70,7 +63,7 @@ class TestRun:
 
 class TestTables:
     def test_quantizer_table(self, capsys):
-        assert main(["tables", "--quantizers"]) == 0
+        assert main(["tables"]) == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert len(lines) == 9  # header + 8 resolutions
@@ -80,5 +73,25 @@ class TestTables:
         # 2^b levels per row
         assert len(lines[8].split()) == 3 + 256
 
-    def test_missing_flag_exits_one(self, capsys):
-        assert main(["tables"]) == 1
+
+def _readme_commands():
+    """{subcommand: its --flags} of the fenced block under README's "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    commands = {}
+    for line in section.split("```", 2)[1].strip().splitlines():
+        program, command, *_ = line.split()
+        assert program == "quantlink", line
+        commands[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return commands
+
+
+def _parser_commands():
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+        for command, parser in sub.choices.items()
+    }
+
+
+def test_readme_command_block_matches_the_parser():
+    assert _readme_commands() == _parser_commands()

@@ -87,7 +87,7 @@ def test_power_is_computed_once_per_width_and_depth(monkeypatch):
     monkeypatch.setattr(harness, "total_power", counted)
     config = ExperimentConfig(
         n_tx=8, n_rx=4, n_rf_tx=2, n_rf_rx=(1, 2, 3), snr_grid_db=(0.0, 10.0), bits_grid=(2, 3),
-        n_realizations=2, methods=harness.HARNESS_METHODS,
+        n_realizations=2, methods=tuple(harness.METHODS),
     )
     records = run_experiment(config)
     assert calls == {(n, b): 1 for n in (1, 2, 3) for b in (1, 2, 3)}

@@ -8,7 +8,8 @@ axis a list or tuple of its entry type.  A directly built config of the wrong
 types fails where it is built, not later in a sweep, and every value is
 stored as the Python value of its declared type, so the sweep writes its cell
 coordinates without casts.  Also here: the loose one-bit bound's chain-count
-rule, kept once in its kernel, and a config file that is not UTF-8.
+rule, kept once in its kernel, a config file that is not UTF-8, and one
+that opens with a UTF-8 byte-order mark.
 """
 
 import ast
@@ -141,6 +142,14 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
     with pytest.raises(ConfigError, match="not UTF-8"):
         load_config(path)
+
+
+def test_a_utf8_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfn_realizations = 1\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "1 realizations" in capsys.readouterr().out
+    assert load_config(path) == ExperimentConfig(n_realizations=1)
 
 
 # --- the reader and the checker cannot drift ----------------------------------

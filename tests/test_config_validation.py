@@ -12,14 +12,14 @@ import pytest
 from quantlink.cli import main
 from quantlink.harness import (
     EXPERIMENTS,
-    HARNESS_METHODS,
     ConfigError,
     ExperimentConfig,
     parse_config,
 )
+from quantlink.rates import METHODS
 
 SMALL_RUN = "n_tx = 16\nn_rx = 4\nn_rf_tx = 2\nn_rf_rx = 2\nn_realizations = 2\n"
-ALL_METHODS = "methods = " + ",".join(HARNESS_METHODS) + "\n"
+ALL_METHODS = "methods = " + ",".join(METHODS) + "\n"
 
 # (config line, message) for checks a config file can reach.
 REJECTED_LINES = [
@@ -83,17 +83,11 @@ def test_empty_list_axis_is_rejected(key, message):
         ExperimentConfig(**{key: ()})
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["--threads", "0"], None, "--threads must be at least 1"),
-    (["--threads", "-3"], None, "--threads must be at least 1"),
-    ([], "0", "QUANTLINK_THREADS must be at least 1, got 0"),
-    ([], "-2", "QUANTLINK_THREADS must be at least 1, got -2"),
+@pytest.mark.parametrize("argv, message", [
+    (["--threads", "0"], "--threads must be at least 1"),
+    (["--threads", "-3"], "--threads must be at least 1"),
 ])
-def test_thread_counts_below_one_exit_1(argv, env, message, tmp_path, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("QUANTLINK_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("QUANTLINK_THREADS", env)
+def test_thread_counts_below_one_exit_1(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["run", "--config", _cfg(tmp_path, SMALL_RUN), "--out", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -105,7 +99,7 @@ def test_snr_range_ends_run_every_method(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert {row[4] for row in rows} == set(HARNESS_METHODS)
+    assert {row[4] for row in rows} == set(METHODS)
     assert {row[1] for row in rows} == {"-300", "300"}
     assert all(math.isfinite(float(row[5])) and float(row[5]) >= 0 for row in rows)
     assert capsys.readouterr().err == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantlink import (
-    EffectiveChannel,
+    ChannelMatrix,
     RankDeficientChannelError,
     channel_inversion_precoder,
     snr_ci,
@@ -14,7 +14,7 @@ from quantlink import (
 
 
 def as_effective(matrix):
-    return EffectiveChannel.from_matrix(np.asarray(matrix, dtype=complex))
+    return ChannelMatrix(np.asarray(matrix, dtype=complex))
 
 
 class TestChannelInversion:

@@ -7,9 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
-import quantlink
 from quantlink import analog, channel, digital, rates
-from quantlink.analog import EffectiveChannel, alternating_projection, effective_channel
+from quantlink.analog import alternating_projection, effective_channel
 from quantlink.channel import ChannelMatrix, ClusteredChannelConfig, generate_channel
 
 
@@ -31,15 +30,13 @@ def test_effective_channel_is_a_channel_matrix(h):
 
 def test_effective_channel_gets_the_construction_checks_of_h():
     entries = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
-    assert EffectiveChannel(entries).entries.shape == (2, 2)
+    assert ChannelMatrix(entries).entries.shape == (2, 2)
     with pytest.raises(ValueError, match="entries must be finite"):
-        EffectiveChannel(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        ChannelMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_one_matrix_type_under_both_names():
-    assert EffectiveChannel is ChannelMatrix
-    assert quantlink.EffectiveChannel is quantlink.ChannelMatrix
-    g = EffectiveChannel.from_matrix([[1.0, 2.0, 0.5]])
+    g = ChannelMatrix([[1.0, 2.0, 0.5]])
     assert type(g) is ChannelMatrix
     assert not hasattr(g, "shape")
 

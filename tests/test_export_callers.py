@@ -12,11 +12,17 @@ A module-level function or class is reached when a root names it: an
 module, or a function of ``cli.py``; or, transitively, when the body of a
 reached definition loads it as a name or attribute.  Names are matched
 without their module, so a definition is reached when any of that name is.
+
+Each exported object has one name: no two ``__all__`` names are bound to the
+same function, class or container, and no exported class binds one function,
+classmethod or property under two names.
 """
 
 import ast
 import functools
+import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -117,3 +123,27 @@ def _unreached_definitions():
 
 def test_every_definition_is_reached_from_a_root():
     assert _unreached_definitions() == set()
+
+
+def _shared_names(bindings):
+    """Groups of two or more names in ``bindings`` (name, object) bound to one object."""
+    by_object = {}
+    for name, obj in bindings:
+        by_object.setdefault(id(obj), []).append(name)
+    return sorted(sorted(names) for names in by_object.values() if len(names) > 1)
+
+
+def test_no_two_exports_are_one_object():
+    exports = ((name, getattr(quantlink, name)) for name in quantlink.__all__)
+    objects = ((name, obj) for name, obj in exports if not isinstance(obj, (int, float, str)))
+    assert _shared_names(objects) == []
+
+
+def test_no_exported_class_binds_one_member_twice():
+    members = (types.FunctionType, classmethod, staticmethod, property)
+    shared = {
+        name: _shared_names((n, v) for n, v in vars(cls).items() if isinstance(v, members))
+        for name in quantlink.__all__
+        if inspect.isclass(cls := getattr(quantlink, name))
+    }
+    assert {name: groups for name, groups in shared.items() if groups} == {}

@@ -16,7 +16,7 @@ import pytest
 
 import quantlink.rates as rates
 from quantlink import lloyd_max, rate_aqnm, rate_ci_fano, svd_precoder
-from quantlink.analog import EffectiveChannel
+from quantlink.channel import ChannelMatrix
 from quantlink.rates import ChannelRates, RateGrid, _aqnm_rates, _ci_fano_kernel
 
 BITS = tuple(range(1, 9))
@@ -28,7 +28,7 @@ def test_fano_table_equals_per_cell_rate_ci_fano(n):
     # G = I gives snr_ci = rho / n, so the grid spans 1e-6 to 1e8
     rhos = n * np.logspace(-6.0, 8.0, 29)
     grid = RateGrid(rhos, BITS, ETAS[1:])
-    state = ChannelRates(EffectiveChannel.from_matrix(np.eye(n, dtype=complex)), None, n, True, grid)
+    state = ChannelRates(ChannelMatrix(np.eye(n, dtype=complex)), None, n, True, grid)
     table = _ci_fano_kernel(state)
     assert table.shape == (rhos.size, len(BITS))
     expected = [
@@ -59,7 +59,7 @@ def test_stacked_aqnm_equals_one_point_calls(n):
 
 
 def test_channel_rates_aqnm_is_the_stacked_kernel():
-    g = EffectiveChannel.from_matrix(dominant_stream_channel(4, seed=11))
+    g = ChannelMatrix(dominant_stream_channel(4, seed=11))
     rhos = np.logspace(-2.0, 3.0, 6)
     state = ChannelRates(g, None, 4, True, RateGrid(rhos, BITS, ETAS[1:]))
     f_bbs = np.stack([svd_precoder(g, rho, 4).f_bb for rho in rhos.tolist()])

@@ -243,8 +243,7 @@ def test_a_pool_stores_every_table_before_returning(monkeypatch):
         (["--seed", "7.0"], "--seed must be an integer, got '7.0'"),
     ],
 )
-def test_non_integer_flags_are_config_errors(argv, message, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QUANTLINK_THREADS", raising=False)
+def test_non_integer_flags_are_config_errors(argv, message, tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n_realizations = 1\nsnr_grid_db = 0\nbits_grid = 1\n")
     out = tmp_path / "out.csv"

@@ -215,7 +215,7 @@ def test_cli_module_runs_as_a_script():
     src = Path(quantizers.__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "quantlink.cli", "tables", "--quantizers"],
+        [sys.executable, "-m", "quantlink.cli", "tables"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from quantlink import (
-    EffectiveChannel,
+    ChannelMatrix,
     RateQuery,
     binary_entropy,
     build_transition_matrix,
@@ -31,7 +31,7 @@ from conftest import random_semi_unitary
 
 
 def as_effective(matrix):
-    return EffectiveChannel.from_matrix(np.asarray(matrix, dtype=complex))
+    return ChannelMatrix(np.asarray(matrix, dtype=complex))
 
 
 def random_effective(rng, rows, cols):
