@@ -6,7 +6,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from quantlink import cli
 from quantlink.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +62,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_threads_flag_reaches_the_sweep_and_defaults_to_one(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        seen = []
+        sweep = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config, threads: seen.append(threads) or sweep(config, threads=threads))
+        out_default = tmp_path / "default.csv"
+        out_two = tmp_path / "two.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out_default)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out_two), "--threads", "2"]) == 0
+        assert seen == [1, 2]
+        assert out_default.read_bytes() == out_two.read_bytes()
+
 
 class TestTables:
     def test_quantizer_table(self, capsys):
@@ -72,6 +87,12 @@ class TestTables:
         assert abs(float(first[1]) - (1.0 - 2.0 / np.pi)) < 1e-10
         # 2^b levels per row
         assert len(lines[8].split()) == 3 + 256
+
+    def test_an_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--bits"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bits" in capsys.readouterr().err
 
 
 def _readme_commands():
@@ -93,5 +114,10 @@ def _parser_commands():
     }
 
 
-def test_readme_command_block_matches_the_parser():
-    assert _readme_commands() == _parser_commands()
+def test_readme_command_block_names_every_subcommand():
+    assert sorted(_readme_commands()) == sorted(_parser_commands())
+
+
+@pytest.mark.parametrize("command", sorted(_parser_commands()))
+def test_readme_command_block_names_the_flags_of(command):
+    assert _readme_commands().get(command) == _parser_commands()[command]
