@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .harness import ConfigError, emit_csv, load_config, run_experiment
@@ -45,6 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(text: str) -> None:
+    """Print ``text`` now; once the reader has closed stdout, send the rest to the null device."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _integer(raw: str, name: str) -> int:
     try:
         return int(raw)
@@ -71,7 +80,7 @@ def _cmd_run(args) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(records)} records to {config.output_path}")
+    _say(f"wrote {len(records)} records to {config.output_path}")
     return 0
 
 
@@ -81,17 +90,18 @@ def _cmd_validate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    print(f"config OK: experiment={config.experiment}, "
-          f"{config.n_realizations} realizations, master_seed={config.master_seed}")
+    _say(f"config OK: experiment={config.experiment}, "
+         f"{config.n_realizations} realizations, master_seed={config.master_seed}")
     return 0
 
 
 def _cmd_tables(args) -> int:
-    print("bits  eta                high_res_approx     levels")
+    lines = ["bits  eta                high_res_approx     levels"]
     for bits in range(1, MAX_BITS + 1):
         spec, dist = lloyd_max(bits)
         levels = " ".join(f"{lv:.12g}" for lv in spec.levels)
-        print(f"{bits:<5d} {dist.eta:<18.12g} {high_resolution_distortion(bits):<19.12g} {levels}")
+        lines.append(f"{bits:<5d} {dist.eta:<18.12g} {high_resolution_distortion(bits):<19.12g} {levels}")
+    _say("\n".join(lines))
     return 0
 
 

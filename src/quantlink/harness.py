@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field, fields
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
@@ -60,6 +60,8 @@ __all__ = [
     "parse_config",
     "load_config",
     "realization_seed",
+    "SweepResult",
+    "sweep",
     "run_experiment",
     "emit_csv",
 ]
@@ -282,12 +284,6 @@ def _channel(config: ExperimentConfig, index: int):
     )
 
 
-def _state(h, pair, n_rf_rx: int, grid: RateGrid) -> ChannelRates:
-    g = effective_channel(h, pair)
-    feasible = ci_feasible(g.singular_values, n_rf_rx)
-    return ChannelRates(g, h, n_rf_rx, feasible, grid, rate_ci_exact_grid, svd_precoder)
-
-
 def _grid(config: ExperimentConfig) -> RateGrid:
     rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db])
     etas = np.array([lloyd_max(bits)[1].eta for bits in config.bits_grid])
@@ -295,9 +291,10 @@ def _grid(config: ExperimentConfig) -> RateGrid:
 
 
 def _realize_all(
-    config: ExperimentConfig, widths, grid: RateGrid, threads: int = 1
+    config: ExperimentConfig, widths, grid: RateGrid, threads: int = 1, ap: dict | None = None
 ) -> dict[int, list[ChannelRates]]:
-    """Channel states of every realization for each receive-chain count in ``widths``.
+    """Channel states of every realization for each receive-chain count in
+    ``widths``; ``ap``, if given, receives :attr:`SweepResult.ap`'s entries.
 
     Each channel is drawn once, and one alternating-projection batch designs
     the analog precoders of all widths for all realizations.  The thread
@@ -308,10 +305,8 @@ def _realize_all(
     the unstarted jobs from the back and stores each table as its state's
     ``ci_exact``.  Without workers no thread starts and nothing is queued:
     each table is computed once, when a kernel first reads ``ci_exact``.
-    A worker slows AP (1.6x to 1.9x on ``nrf_all_t2``): AP's short array
-    calls wait for the GIL that the kernel's short calls hold.  Every table
-    comes from the same calls on the same inputs, so the states do not
-    depend on ``threads``.
+    A worker slows AP (README, "Command line").  Every table comes from the
+    same calls on the same inputs, so the states do not depend on ``threads``.
     """
     if not widths:
         return {}
@@ -325,7 +320,11 @@ def _realize_all(
     tables = []  # (state, future) in queue order
     try:
         for n, i, pair in _projection_stream(hs, config.n_rf_tx, widths):
-            state = states[n][i] = _state(hs[i], pair, n, grid)
+            g = effective_channel(hs[i], pair)
+            feasible = ci_feasible(g.singular_values, n)
+            state = states[n][i] = ChannelRates(g, hs[i], n, feasible, grid, rate_ci_exact_grid, svd_precoder)
+            if ap is not None:
+                ap[n, i] = pair.iterations, pair.converged, pair.residual_f, pair.residual_w
             if pool is not None:
                 # a worker runs the job in a copy of this thread's context,
                 # numpy's error state included
@@ -362,12 +361,58 @@ def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
     return means.tolist(), stderrs.tolist()
 
 
-def _sample_table(config: ExperimentConfig, threads: int) -> dict:
-    """``(n_rf_rx, method) -> (cells, samples, outcomes)``: the method's (snr_db,
-    bits) cells, the C-ordered (cells, R) array of their rates and the (R,)
-    array of each realization's ``RateMethod.outcome``.  The kernel gives NaN where
-    the outcome is not ``"ok"``; a width without an analog design is NaN throughout."""
-    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], _grid(config), threads)
+@dataclass(frozen=True)
+class SweepResult:
+    """Everything one sweep computes, before any reduction.
+
+    ``table`` maps ``(n_rf_rx, method)`` to ``(cells, samples, outcomes)``: the
+    method's (snr_db, bits) cells, the C-ordered (cells, R) array of their
+    rates and the (R,) array of each realization's outcome, one of
+    ``rates.OUTCOMES`` by the one rule ``RateMethod.outcome``; both arrays are
+    read-only, and a sample is NaN exactly where its outcome is not ``ok``.
+    ``power_mw`` maps ``(n_rf_rx, bits)`` to the receiver power of each
+    quantized cell, and ``ap`` maps ``(n_rf_rx, realization)`` to the AP
+    pair's ``(iterations, converged, residual_f, residual_w)``; a width above
+    ``n_rf_tx`` has no analog design, so no AP entry and NaN samples.
+    """
+
+    config: ExperimentConfig
+    table: dict
+    power_mw: dict
+    ap: dict
+
+    def records(self) -> list[ResultRecord]:
+        """One record per cell, in table order: each row's mean and standard error
+        over its non-NaN samples, its power and its energy efficiency."""
+        config, records = self.config, []
+        for (n_rf_rx, method), (cells, samples, _) in self.table.items():
+            means, stderrs = _aggregate_rows(samples)
+            for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
+                if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
+                    p_mw, ee = 0.0, 0.0
+                else:
+                    p_mw = self.power_mw[n_rf_rx, bits]
+                    ee = math.nan if math.isnan(mean) else energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
+                records.append(ResultRecord(
+                    experiment=config.experiment, snr_db=snr_db, bits=bits, n_rf_rx=n_rf_rx, method=method,
+                    mean_rate_bpshz=mean, rate_stderr=stderr, power_mw=p_mw, ee_bits_per_joule=ee,
+                    n_realizations=config.n_realizations, master_seed=config.master_seed,
+                ))
+        return records
+
+
+def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
+    """Run the configured sweep and keep every sample, outcome, power and AP design it computes.
+
+    Each realization's channel is drawn once, and alternating projection runs
+    once per realization for all receive-chain counts.  A sample without a
+    rate is NaN, not an abort.  ``threads``, an integer of at least 1, sizes
+    the pool that computes the exact channel-inversion tables beside AP (see
+    ``_realize_all``); the result is bit-identical for any count.
+    """
+    _check_count(threads, "threads")
+    ap = {}
+    states = _realize_all(config, [n for n in config.n_rf_rx if n <= config.n_rf_tx], _grid(config), threads, ap)
     table = {}
     for n_rf_rx in config.n_rf_rx:
         row = states.get(n_rf_rx, [None] * config.n_realizations)
@@ -378,56 +423,16 @@ def _sample_table(config: ExperimentConfig, threads: int) -> dict:
             outcomes = np.array([spec.outcome(state) for state in row])
             for r, state in enumerate(row):
                 samples[:, r] = math.nan if state is None else spec.kernel(state).ravel()
+            samples.flags.writeable = outcomes.flags.writeable = False
             table[n_rf_rx, method] = (cells, samples, outcomes)
-    return table
+    bits = sorted({b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b})
+    power_mw = {(n, b): total_power(config.power, config.n_rx, n, b) for n in config.n_rf_rx for b in bits}
+    return SweepResult(config, table, power_mw, ap)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
-    """Run the configured sweep and return one record per grid cell.
-
-    Each realization's channel is drawn once, and alternating projection runs
-    once per realization for all receive-chain counts.  ``_sample_table``
-    holds every (width, method)'s rates and each realization's outcome, one
-    of ``rates.OUTCOMES`` by the one rule ``RateMethod.outcome``: ``ok``,
-    ``ci_ill_conditioned`` (channel inversion cannot drive the streams),
-    ``rank_deficient`` (the SVD precoder cannot) or ``infeasible_width``
-    (n_rf_rx exceeds n_rf_tx).  A sample without a rate is NaN, not an
-    abort, and every entry is reduced over its non-NaN samples; a cell with
-    none has a NaN rate, and ``n_realizations`` counts all R.  The config
-    lists each width, SNR, bit depth and method once (see ``_LIST_AXES``),
-    and each width's receiver power is computed once per bit depth.
-
-    ``threads`` must be an integer of at least 1.  It sizes the pool that
-    computes the exact channel-inversion tables beside AP (the policy is
-    stated in ``_realize_all``); the records are bit-identical for any count.
-    """
-    _check_count(threads, "threads")
-    power = cache(partial(total_power, config.power, config.n_rx))  # (n_rf_rx, bits) -> mW
-    records = []
-    for (n_rf_rx, method), (cells, samples, _) in _sample_table(config, threads).items():
-        means, stderrs = _aggregate_rows(samples)
-        for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
-            if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
-                p_mw, ee = 0.0, 0.0
-            else:
-                p_mw = power(n_rf_rx, bits)
-                ee = math.nan if math.isnan(mean) else energy_efficiency(mean, config.power.bandwidth_hz, p_mw)
-            records.append(
-                ResultRecord(
-                    experiment=config.experiment,
-                    snr_db=snr_db,
-                    bits=bits,
-                    n_rf_rx=n_rf_rx,
-                    method=method,
-                    mean_rate_bpshz=mean,
-                    rate_stderr=stderr,
-                    power_mw=p_mw,
-                    ee_bits_per_joule=ee,
-                    n_realizations=config.n_realizations,
-                    master_seed=config.master_seed,
-                )
-            )
-    return records
+    """One record per grid cell of the configured sweep: :func:`sweep`, reduced by :meth:`SweepResult.records`."""
+    return sweep(config, threads).records()
 
 
 def emit_csv(records, path) -> None:

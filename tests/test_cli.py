@@ -2,7 +2,10 @@
 README's command block, which names exactly the parser's subcommands and flags."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,40 @@ class TestTables:
             main(["tables", "--bits"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --bits" in capsys.readouterr().err
+
+
+def _into_closed_pipe(args):
+    """Run the CLI as a script with stdout a pipe whose reader closed before the child writes."""
+    src = Path(cli.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "quantlink.cli", *args], stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path), text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``quantlink tables | head -2``) gets
+    no traceback: the subcommand exits with the status it would have returned."""
+
+    def test_tables(self):
+        out = _into_closed_pipe(["tables"])
+        assert (out.returncode, out.stderr) == (0, "")
+
+    def test_validate(self, tmp_path):
+        out = _into_closed_pipe(["validate", "--config", str(write_config(tmp_path))])
+        assert (out.returncode, out.stderr) == (0, "")
+
+    def test_run(self, tmp_path):
+        csv = tmp_path / "out.csv"
+        out = _into_closed_pipe(["run", "--config", str(write_config(tmp_path)), "--out", str(csv)])
+        assert (out.returncode, out.stderr) == (0, "")
+        assert csv.read_text().startswith("experiment,")
 
 
 def _readme_commands():

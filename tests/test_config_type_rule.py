@@ -218,7 +218,7 @@ def test_post_init_checks_types_in_one_loop_through_the_predicate():
 
 
 def test_run_experiment_writes_cell_coordinates_without_casts():
-    body = _function(run_experiment)
+    body = _function(harness.SweepResult.records)
     calls = [
         node for node in ast.walk(body)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == ResultRecord.__name__

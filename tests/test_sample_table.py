@@ -1,9 +1,9 @@
 """The sweep's one intermediate: a sample table with an outcome per realization.
 
-``harness._sample_table`` holds, per (width, method), the cells, a C-ordered
-(cells, R) array of rates and an (R,) array of outcomes.  Every sample
-without a rate is NaN and names its cause, and the record step reduces every
-entry on the same path.
+``harness.sweep(config).table`` holds, per (width, method), the cells, a
+C-ordered (cells, R) array of rates and an (R,) array of outcomes.  Every
+sample without a rate is NaN and names its cause, and the record step,
+``SweepResult.records``, reduces every entry on the same path.
 """
 
 import ast
@@ -42,7 +42,7 @@ BOUNDS = ("ub_onebit_tight", "ub_onebit_loose", "ub_infinite")
 @pytest.fixture(scope="module", params=list(CONFIGS))
 def case(request):
     config = CONFIGS[request.param]
-    return request.param, config, harness._sample_table(config, 1)
+    return request.param, config, harness.sweep(config).table
 
 
 def test_one_entry_per_width_and_method_in_record_order(case):
@@ -133,12 +133,19 @@ def test_a_method_needs_nothing_unless_it_says_so():
     }
 
 
+def _source_tree(func):
+    return ast.parse(textwrap.dedent(inspect.getsource(func)))
+
+
 def test_run_experiment_has_one_fill_and_reduce_path():
-    tree = ast.parse(textwrap.dedent(inspect.getsource(harness.run_experiment)))
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert "_sample_table" in names and "_aggregate_rows" in names
-    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Compare)
-                and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)]
+    (run,) = _source_tree(harness.run_experiment).body
+    statements = [s for s in run.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    assert [ast.unparse(s) for s in statements] == ["return sweep(config, threads).records()"]
+    records = _source_tree(harness.SweepResult.records)
+    assert "_aggregate_rows" in {n.id for n in ast.walk(records) if isinstance(n, ast.Name)}
+    for tree in (records, _source_tree(harness.sweep)):
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                    and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)]
     source = inspect.getsource(harness)
     assert "ci_exact_grid(" not in source and "np.stack" not in source
 
@@ -153,7 +160,7 @@ def test_each_state_runs_the_svd_precoder_once_per_snr_and_keeps_only_its_table(
 
     monkeypatch.setattr(harness, "svd_precoder", counted)
     config = RANK_ONE
-    harness._sample_table(config, 1)
+    harness.sweep(config)
     # both widths, every realization and SNR; width 2 raises at its first SNR
     assert set(calls.values()) == {1}
     assert len(calls) == config.n_realizations * (len(config.snr_grid_db) + 1)
