@@ -18,6 +18,7 @@ from contextvars import copy_context
 from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter
+from types import MappingProxyType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -341,24 +342,19 @@ def _realize_all(
 
 
 def _aggregate_rows(samples: np.ndarray) -> tuple[list[float], list[float]]:
-    """Mean and standard error of every row of a C-ordered (cells, R) array,
-    over the realizations that produced a value (NaN for a row with none).
+    """Mean and standard error of every row of a NaN-free (cells, k) array: NaN
+    for every row when k = 0, and a standard error of 0 when k = 1.
 
-    Rows without NaN are reduced along the contiguous realization axis at
-    once, which sums in the same pairwise order as reducing one row; a row
-    with a NaN reduces its valid entries alone.
+    The rows are reduced at once along the contiguous realization axis of a
+    C-ordered copy (a boolean column selection is Fortran-ordered), which sums
+    each row in the same pairwise order as reducing that row alone.
     """
-    n = samples.shape[1]
-    means = samples.mean(axis=1)
-    stderrs = samples.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(samples))
-    for i in np.flatnonzero(np.isnan(samples).any(axis=1)):
-        valid = samples[i][~np.isnan(samples[i])]
-        if valid.size == 0:
-            means[i] = stderrs[i] = math.nan
-            continue
-        means[i] = valid.mean()
-        stderrs[i] = valid.std(ddof=1) / np.sqrt(valid.size) if valid.size > 1 else 0.0
-    return means.tolist(), stderrs.tolist()
+    cells, k = samples.shape
+    if k == 0:
+        return [math.nan] * cells, [math.nan] * cells
+    samples = np.ascontiguousarray(samples)
+    stderrs = samples.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(cells)
+    return samples.mean(axis=1).tolist(), stderrs.tolist()
 
 
 @dataclass(frozen=True)
@@ -373,20 +369,23 @@ class SweepResult:
     ``power_mw`` maps ``(n_rf_rx, bits)`` to the receiver power of each
     quantized cell, and ``ap`` maps ``(n_rf_rx, realization)`` to the AP
     pair's ``(iterations, converged, residual_f, residual_w)``; a width above
-    ``n_rf_tx`` has no analog design, so no AP entry and NaN samples.
+    ``n_rf_tx`` has no analog design, so no AP entry and NaN samples.  The
+    three mappings are read-only.  :meth:`records` reduces each entry in one
+    pass over its ``ok`` realizations.
     """
 
     config: ExperimentConfig
-    table: dict
-    power_mw: dict
-    ap: dict
+    table: MappingProxyType
+    power_mw: MappingProxyType
+    ap: MappingProxyType
 
     def records(self) -> list[ResultRecord]:
         """One record per cell, in table order: each row's mean and standard error
-        over its non-NaN samples, its power and its energy efficiency."""
+        over the entry's ``ok`` realizations, reduced in one pass, its power and
+        its energy efficiency."""
         config, records = self.config, []
-        for (n_rf_rx, method), (cells, samples, _) in self.table.items():
-            means, stderrs = _aggregate_rows(samples)
+        for (n_rf_rx, method), (cells, samples, outcomes) in self.table.items():
+            means, stderrs = _aggregate_rows(samples[:, outcomes == "ok"])
             for (snr_db, bits), mean, stderr in zip(cells, means, stderrs):
                 if bits == 0:  # an unquantized cell: no ADC power and efficiency 0
                     p_mw, ee = 0.0, 0.0
@@ -427,7 +426,7 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             table[n_rf_rx, method] = (cells, samples, outcomes)
     bits = sorted({b for m in config.methods for b in METHODS[m].cell_bits(config.bits_grid) if b})
     power_mw = {(n, b): total_power(config.power, config.n_rx, n, b) for n in config.n_rf_rx for b in bits}
-    return SweepResult(config, table, power_mw, ap)
+    return SweepResult(config, MappingProxyType(table), MappingProxyType(power_mw), MappingProxyType(ap))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:

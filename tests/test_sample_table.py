@@ -3,21 +3,25 @@
 ``harness.sweep(config).table`` holds, per (width, method), the cells, a
 C-ordered (cells, R) array of rates and an (R,) array of outcomes.  Every
 sample without a rate is NaN and names its cause, and the record step,
-``SweepResult.records``, reduces every entry on the same path.
+``SweepResult.records``, reduces every entry in one pass over its ``ok``
+realizations.
 """
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quantlink.harness as harness
-from quantlink import ExperimentConfig, run_experiment
+from quantlink import ExperimentConfig, load_config, run_experiment
 from quantlink.rates import METHODS, RateMethod
 
+from conftest import kernel_note
 from test_sweep_core import ALL_METHODS, ILL_CONDITIONED, WIDE
 
 # A one-ray, one-cluster channel has rank one: width 2 can carry neither
@@ -35,7 +39,14 @@ RANK_ONE = ExperimentConfig(
     methods=ALL_METHODS,
     master_seed=3,
 )
-CONFIGS = {"wide": WIDE, "ill_conditioned": ILL_CONDITIONED, "rank_one": RANK_ONE}
+# Two benchmark workloads, read from their configs, at a master seed where
+# width 8 has a CI-infeasible realization beside feasible ones.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+BENCHMARK = {
+    name: dataclasses.replace(load_config(WORKLOADS / f"{name}.cfg"), master_seed=seed)
+    for name, seed in (("onebit_ap", 1), ("nrf_all_t2", 7))
+}
+CONFIGS = {"wide": WIDE, "ill_conditioned": ILL_CONDITIONED, "rank_one": RANK_ONE, **BENCHMARK}
 BOUNDS = ("ub_onebit_tight", "ub_onebit_loose", "ub_infinite")
 
 
@@ -95,6 +106,9 @@ def test_each_outcome_names_its_cause(case):
             assert outcomes[2, method] == {"ci_ill_conditioned": r}
         for method in ("aqnm_svd", "hybrid"):
             assert outcomes[2, method] == {"rank_deficient": r}
+    if name in BENCHMARK:
+        mixed = [key for key, counts in outcomes.items() if "ok" in counts and len(counts) > 1]
+        assert mixed, (name, "no entry mixes ok with other outcomes", kernel_note())
 
 
 def test_the_outcome_rule_agrees_with_the_kernels(case):
@@ -115,8 +129,8 @@ def test_records_reduce_every_entry_of_the_table(case):
     records = run_experiment(config)
     assert len(records) == sum(len(entry[0]) for entry in table.values())
     expected = []
-    for (n_rf_rx, method), (cells, samples, _) in table.items():
-        means, stderrs = harness._aggregate_rows(samples)
+    for (n_rf_rx, method), (cells, samples, outcomes) in table.items():
+        means, stderrs = harness._aggregate_rows(samples[:, outcomes == "ok"])
         expected += [(n_rf_rx, method, cell, m, s) for cell, m, s in zip(cells, means, stderrs)]
     got = [(r.n_rf_rx, r.method, (r.snr_db, r.bits), r.mean_rate_bpshz, r.rate_stderr) for r in records]
     assert np.array_equal(np.array([g[3:] for g in got]), np.array([e[3:] for e in expected]), equal_nan=True)
@@ -143,6 +157,17 @@ def test_run_experiment_has_one_fill_and_reduce_path():
     assert [ast.unparse(s) for s in statements] == ["return sweep(config, threads).records()"]
     records = _source_tree(harness.SweepResult.records)
     assert "_aggregate_rows" in {n.id for n in ast.walk(records) if isinstance(n, ast.Name)}
+    # records reduces each entry's ok columns; the reduction scans for no NaN
+    # and reduces every row on one path
+    (call,) = [n for n in ast.walk(records) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Name) and n.func.id == "_aggregate_rows"]
+    (arg,) = call.args
+    assert isinstance(arg, ast.Subscript) and "outcomes" in {
+        n.id for n in ast.walk(arg.slice) if isinstance(n, ast.Name)}
+    aggregate = _source_tree(harness._aggregate_rows)
+    loads = {n.attr for n in ast.walk(aggregate) if isinstance(n, ast.Attribute)}
+    assert "isnan" not in loads | {n.id for n in ast.walk(aggregate) if isinstance(n, ast.Name)}
+    assert not [n for n in ast.walk(aggregate) if isinstance(n, (ast.For, ast.comprehension))]
     for tree in (records, _source_tree(harness.sweep)):
         assert not [n for n in ast.walk(tree) if isinstance(n, ast.Compare)
                     and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)]

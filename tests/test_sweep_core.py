@@ -261,17 +261,26 @@ def test_repeated_method_is_emitted_once():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 30, 100])
 def test_row_reduction_equals_aggregate_bitwise(n):
+    """Each row of a column subset, as the sweep reduces an entry's ok realizations."""
     rng = np.random.default_rng(n)
     samples = rng.uniform(0.0, 40.0, (60, n)) * 10.0 ** rng.uniform(-6, 3, (60, 1))
-    samples[5, 0] = math.nan  # one missing sample
-    samples[6, :] = math.nan  # all missing
-    samples[7, 1:] = math.nan  # one sample left (when n > 1)
-    samples[8, rng.integers(n, size=max(1, n // 3))] = math.nan
-    means, stderrs = harness._aggregate_rows(samples)
-    for row, mean, stderr in zip(samples, means, stderrs):
-        expected = oracle_aggregate(row)
-        assert np.array_equal([mean, stderr], expected, equal_nan=True)
-        assert type(mean) is float and type(stderr) is float
+    third = np.zeros(n, dtype=bool)
+    third[rng.choice(n, size=max(1, n // 3), replace=False)] = True
+    subsets = {
+        "none": np.zeros(n, dtype=bool),
+        "one": np.arange(n) == n // 2,
+        "all but one": np.arange(n) != 0,
+        "a third": third,
+        "all": np.ones(n, dtype=bool),
+    }
+    for name, keep in subsets.items():
+        means, stderrs = harness._aggregate_rows(samples[:, keep])
+        assert len(means) == len(stderrs) == len(samples), name
+        for row, mean, stderr in zip(samples, means, stderrs):
+            row = row[keep]
+            expected = oracle_aggregate(row)
+            assert np.array_equal([mean, stderr], expected, equal_nan=True), (name, row.size)
+            assert type(mean) is float and type(stderr) is float
 
 
 # --- the stacked AQNM kernel -------------------------------------------------

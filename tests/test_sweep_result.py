@@ -50,6 +50,10 @@ def test_the_result_is_frozen_and_its_arrays_are_read_only(result):
     assert isinstance(result, SweepResult) and result.config is CONFIG
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.ap = {}
+    key = next(iter(result.table))
+    for mapping, value in ((result.table, result.table[key]), (result.power_mw, 0.0), (result.ap, None)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
     for cells, samples, outcomes in result.table.values():
         assert not samples.flags.writeable and not outcomes.flags.writeable
         with pytest.raises(ValueError):
